@@ -41,6 +41,8 @@ import json
 import random
 from dataclasses import dataclass, fields
 
+from repro.faults.plan import _freeze
+
 #: Instrumented I/O categories.
 CATEGORIES = ("result", "blob", "journal")
 
@@ -120,12 +122,6 @@ class DispatchDelay:
             raise ValueError("op must be non-negative")
         if self.delay_s < 0:
             raise ValueError("delay_s must be non-negative")
-
-
-def _freeze(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,7 @@ from repro.serve.service import (
     AdmissionError,
     JobFailed,
     JobSpec,
+    await_shutdown,
 )
 from repro.workloads import APPLICATIONS
 
@@ -749,12 +750,10 @@ async def run_router(router: ClusterRouter, host: str, port: int) -> None:
     except asyncio.CancelledError:
         pass
     finally:
-        for task in (serve_task, stop_task):
+        for task, name in ((serve_task, "router listener"),
+                           (stop_task, "router signal wait")):
             task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await await_shutdown(task, name)
         for sig in installed:
             loop.remove_signal_handler(sig)
         await server.stop()

@@ -16,13 +16,14 @@ page index) because the simulator touches single pages on its hot path;
 bulk views for analysis are exposed via :meth:`policy_histogram` and
 friends.
 
-For the vectorized steady-state replay path the same columns are also
-available as numpy arrays (:meth:`bulk_views`).  The arrays are built
-lazily on first request and then kept in sync incrementally by every
-mutator, so the fast-path eligibility scan is a handful of numpy mask
-operations instead of a dict/list probe per trace record.  ``version``
-increments on every mutation; the replay loop uses it to know when a
-previously computed eligibility mask went stale.
+The same columns are also available as numpy arrays (:meth:`bulk_views`)
+for the replay fast path's two lanes (local steady-state accesses and
+on-touch migrations, :mod:`repro.sim.fastpath`) and for the sweep memo's
+placement digest.  The arrays are built lazily on first request and then kept in
+sync incrementally by every mutator, so an eligibility scan is a handful
+of numpy mask operations instead of a dict/list probe per trace record.
+``version`` increments on every mutation; the replay loop uses it to
+know when a previously computed eligibility mask went stale.
 
 Invariants maintained by the mutators (checked by :meth:`check_invariants`):
 
@@ -139,11 +140,13 @@ class PageTables:
     def bulk_install_exclusive(
         self, idxs: np.ndarray, gpus: np.ndarray
     ) -> None:
-        """Fast-path batch of ``set_exclusive`` + ``map_local(writable)``.
+        """Fast-path batch of on-touch migrations to ``gpus``.
 
-        Only valid for previously *virgin* pages (host owner, no copies,
-        no mappings) — the caller proves that before batching, which is
-        what makes the result identical to per-page mutator calls.
+        Leaves each page owned, held, mapped and writable by its GPU
+        alone.  Only valid for pages in a simple exclusive state (the
+        copy set is at most the owner, mapped by nobody or writable by
+        the holder alone) — the caller proves that before batching, which
+        is what makes the result identical to per-page mutator calls.
         """
         owner = self._owner
         copies = self._copy_mask
@@ -163,28 +166,6 @@ class PageTables:
             views["copies"][idxs] = bits
             views["mapped"][idxs] = bits
             views["writable"][idxs] = bits
-
-    def bulk_install_duplicate(
-        self, idxs: np.ndarray, gpus: np.ndarray
-    ) -> None:
-        """Fast-path batch of ``add_copy`` + ``map_local(read-only)``.
-
-        Only valid for virgin pages; the owner (the host) keeps the
-        authoritative copy and the requester gets a read-only duplicate,
-        exactly as ``UVMDriver.duplicate`` leaves a first-touch page.
-        """
-        copies = self._copy_mask
-        mapped = self._mapped_mask
-        for idx, gpu in zip(idxs.tolist(), gpus.tolist()):
-            bit = 1 << gpu
-            copies[idx] = bit
-            mapped[idx] = bit
-        self.version += 1
-        views = self._views
-        if views is not None and len(idxs):
-            bits = np.left_shift(np.int64(1), gpus)
-            views["copies"][idxs] = bits
-            views["mapped"][idxs] = bits
 
     # -- host page table (centralized) -------------------------------------
 

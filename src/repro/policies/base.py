@@ -26,6 +26,19 @@ class PolicyEngine(abc.ABC):
     #: Short identifier used in reports ("on_touch", "oasis", ...).
     name: str = "abstract"
 
+    #: Bulk replay lanes this policy admits (see :mod:`repro.sim.fastpath`):
+    #: ``"steady"`` replays local accesses that cannot fault, and
+    #: ``"migrate_on_fault"`` replays faults resolved by one plain
+    #: ``driver.migrate``.  Empty: every record replays per record.
+    fast_lanes: frozenset[str] = frozenset()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The fault lane replays one specific on_fault; a subclass that
+        # resolves faults differently keeps it only by redeclaring it.
+        if "on_fault" in vars(cls) and "fast_lanes" not in vars(cls):
+            cls.fast_lanes = cls.fast_lanes - {"migrate_on_fault"}
+
     def __init__(self) -> None:
         self.machine: "Machine | None" = None
 
@@ -103,11 +116,8 @@ class CounterMigrationMixin:
     ) -> None:
         """Count the remote accesses; migrate the group on a threshold trip.
 
-        Shared verbatim by every counter-counting policy.  The vectorized
-        replay fast path detects this exact method (``type(policy).
-        on_remote_access is CounterMigrationMixin.on_remote_access``) to
-        know remote-access handling is pure counting — a policy that
-        overrides it drops back to per-record replay.
+        Shared verbatim by every counter-counting policy.  Remote
+        accesses always replay per record.
         """
         self._handle_counted_remote(gpu, page, weight)
 

@@ -19,6 +19,7 @@ class IdealPolicy(PolicyEngine):
     """Duplicate-everything upper bound (not realizable)."""
 
     name = "ideal"
+    fast_lanes = frozenset({"steady"})
 
     #: Machines must disable write-exclusivity for this policy.
     requires_incoherent_page_tables = True

@@ -16,6 +16,7 @@ class OnTouchPolicy(PolicyEngine):
     """Uniform on-touch migration."""
 
     name = "on_touch"
+    fast_lanes = frozenset({"steady", "migrate_on_fault"})
 
     def _on_attach(self) -> None:
         # All PTEs carry the default "00" policy bits already; make it

@@ -33,7 +33,12 @@ import threading
 import time
 from pathlib import Path
 
-from repro.serve.service import AdmissionError, JobFailed, SimulationService
+from repro.serve.service import (
+    AdmissionError,
+    JobFailed,
+    SimulationService,
+    await_shutdown,
+)
 
 #: Largest accepted request body (a job spec is a few hundred bytes).
 MAX_BODY_BYTES = 1 << 20
@@ -358,12 +363,10 @@ async def run_server(service: SimulationService, host: str,
     except asyncio.CancelledError:
         pass
     finally:
-        for task in (serve_task, stop_task):
+        for task, name in ((serve_task, "serve listener"),
+                           (stop_task, "serve signal wait")):
             task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+            await await_shutdown(task, name)
         for sig in installed:
             loop.remove_signal_handler(sig)
         await server.stop()

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -221,6 +222,22 @@ class Job:
         if self.failure is not None:
             info["failure"] = dict(self.failure)
         return info
+
+
+async def await_shutdown(task: "asyncio.Future", name: str) -> None:
+    """Await a task being torn down; report, never swallow, its failure.
+
+    Cancellation is the expected end of a task at shutdown and passes
+    silently.  Any other exception is reported once on stderr, naming
+    the task, so an error raised during a drain is not lost.
+    """
+    try:
+        await task
+    except asyncio.CancelledError:
+        pass
+    except Exception as exc:
+        print(f"repro-oasis: {name} failed during shutdown: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def _chain_future(job: Job, primary: Job) -> None:
@@ -455,10 +472,7 @@ class SimulationService:
                 pass
             self._dispatcher = None
         if batch is not None:
-            try:
-                await batch
-            except (asyncio.CancelledError, Exception):
-                pass
+            await await_shutdown(batch, "serve batch")
         if self.journal is not None:
             self.journal.close()
 

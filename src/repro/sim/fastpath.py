@@ -1,28 +1,38 @@
-"""Vectorized steady-state replay — the simulator's fast path.
+"""Vectorized replay lanes — the simulator's fast path.
 
 :class:`FastReplay` replays a phase's record arrays by scanning for
-maximal runs of records that provably cannot fault or change page-table
-state, and charging their compute/access latency, TLB traffic, stats and
-link bytes in bulk instead of one :meth:`Machine.access` call per record.
-The moment state *can* change, it falls back to the exact per-record
-path, so every observable — clocks, stats, TLB hit/miss counts, traffic,
-counter state — stays **bit-identical** to a pure per-record replay
-(``REPRO_FORCE_SLOW_PATH=1`` disables the fast path for A/B checks).
+maximal runs of records whose effect is provable in advance and applying
+them in bulk instead of one :meth:`Machine.access` call per record.  The
+moment a record's effect is not provable, it falls back to the exact
+per-record path, so every observable — clocks, stats, TLB hit/miss
+counts, traffic, counter state — stays **bit-identical** to a pure
+per-record replay (``REPRO_FORCE_SLOW_PATH=1`` disables the fast path for
+A/B checks).
 
-A record ``(gpu, page, is_write, weight)`` is *eligible* for bulk replay
-when, under the page-table state current at mask-build time:
+There are two lanes.  A policy admits them by naming them in its
+:attr:`~repro.policies.base.PolicyEngine.fast_lanes`; a policy that names
+none replays per record, with no replayer built at all.
 
-* ``gpu`` has a valid PTE for ``page`` (no page fault possible), and
-* if the PTE points at a local copy: the record is a read, or the PTE is
-  writable (no protection fault possible) — replay then only adds local
-  access latency and ``access.local`` counts; or
-* if the PTE points at remote/host memory: the attached policy's remote
-  handling is pure counter accounting
-  (``type(policy).on_remote_access is
-  CounterMigrationMixin.on_remote_access``), and the GPU's access counter
-  for the page's 64 KB group provably cannot reach the migration
-  threshold within the current chunk — proven conservatively by summing
-  *every* record weight the chunk still holds for that (gpu, group) key.
+* ``"steady"`` — records ``(gpu, page, is_write, weight)`` whose GPU has
+  a valid *local* PTE for the page that permits the access (a read, or a
+  writable mapping).  Such a record cannot fault and never reaches the
+  policy, so the lane only adds compute and local access latency, TLB
+  traffic and ``access.local`` counts.  On-touch and Ideal declare it:
+  after their first touches almost every access is local.
+* ``"migrate_on_fault"`` — records touching a page in a *simple
+  exclusive* state (virgin: host owner, nothing anywhere; or held by
+  one GPU, mapped writable or not mapped at all) under a policy that
+  resolves every fault with one ``driver.migrate``.  Each record is then
+  a local access by the holder, a first touch (host→GPU pull over
+  PCIe), a cross-GPU bounce (holder PTE shootdown + NVLink pull), an
+  NVLink pull from an unmapped owner or a local remap, each with a
+  fixed driver service time.  Only plain on-touch declares it; a
+  subclass that overrides ``on_fault`` does not inherit it.
+
+The other policies (OASIS, GRIT, duplication, access counters, static
+advice) replay per record: their runs of provable records are too short
+and too rare for a bulk lane to repay its mask upkeep, and they measured
+faster without one.
 
 Eligibility masks are derived from the page tables' numpy mirrors
 (:meth:`PageTables.bulk_views`) and are invalidated by the page-table
@@ -36,28 +46,14 @@ Why the bulk math is exact and not merely close:
 * per-GPU clocks are folded with ``np.cumsum`` over the interleaved
   per-record latency terms, seeded with the GPU's current clock —
   numpy's cumsum is a strict sequential left fold, so the result is the
-  same IEEE-754 value the per-record ``+=`` chain produces (the local
-  records' zero remote term adds ``+0.0``, an identity on the
-  non-negative clocks);
+  same IEEE-754 value the per-record ``+=`` chain produces;
 * stat counters and traffic bytes are integer-valued and far below
   2**53, so bulk integer sums are exact under any grouping;
-* the LRU TLBs are inherently sequential, so bulk runs use
-  :meth:`TLBHierarchy.translate_run` — the same lookup/fill/evict logic
-  in one tight loop — rather than a numpy approximation.
-
-Besides the steady-state lane, a second *first-touch fault lane* bulk-
-replays runs of records that provably WILL fault but whose resolution is
-fully predictable: a virgin page (host owner, no copies, no mappings
-anywhere, each page appearing once in the window) under a policy whose
-first-touch handling is a fixed-cost host→GPU resolution — on-touch
-migration (plain on-touch, OASIS' private filter, GRIT's on-touch
-default) or duplication's read-duplicate/write-collapse.  The FIFO
-queue, per-GPU clock and TLB recurrences are inherently sequential, so
-the lane runs them in one fused scalar loop (no per-record method
-dispatch, stat updates or page-table probes) and then applies the page-
-table installs, stats, counters and link traffic in bulk.  Fault-
-dominated phases (first kernels touching every page) are where replay
-time actually goes, so this lane is what buys the headline speedup.
+* the LRU TLBs, the driver FIFO and the per-page holders are inherently
+  sequential, so the steady lane uses :meth:`TLBHierarchy.translate_run`
+  and the fault lane one fused scalar loop — the same arithmetic as the
+  per-record path, operation for operation — rather than a numpy
+  approximation.
 
 The fast path is disabled outright when the capacity manager is active
 (oversubscription runs touch eviction state on every access) or when
@@ -72,19 +68,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.config import HOST
-from repro.core.oasis import OasisPolicy
-from repro.memory.page import POLICY_ON_TOUCH, policy_name
-from repro.policies.base import CounterMigrationMixin
-from repro.policies.duplication import DuplicationPolicy
-from repro.policies.grit import GritPolicy
-from repro.policies.on_touch import OnTouchPolicy
+from repro.memory.page import policy_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
     from repro.workloads.base import PhaseTrace
 
-#: Records per eligibility window; bounds the conservative counter-safety
-#: sum (a whole-phase window would mark every hot group unsafe).
+#: Records per eligibility window.
 CHUNK = 4096
 
 #: Minimum eligible-run length worth the bulk-call overhead; shorter runs
@@ -108,72 +98,40 @@ class FastReplay:
         self.machine = machine
         config = machine.config
         lat = config.latency
+        lanes = machine.policy.fast_lanes
+        self._steady = "steady" in lanes
+        self._migrate = "migrate_on_fault" in lanes
         self._first_page = machine.trace.first_page
         self._n_gpus = config.n_gpus
         self._compute_ns = lat.compute_ns_per_access
         self._local_ns = lat.local_access_ns
-        self._remote_ns = lat.remote_access_ns
-        self._host_ns = lat.host_access_ns
         self._mem_par = lat.mem_parallelism
-        self._remote_par = lat.remote_parallelism
-        self._ppg = config.pages_per_counter_group
-        self._counting = (
-            type(machine.policy).on_remote_access
-            is CounterMigrationMixin.on_remote_access
-        )
-        # First-touch fault lane: which (if any) predictable-resolution
-        # mode the attached policy's virgin-page faults follow.
-        policy = machine.policy
-        if type(policy) is OnTouchPolicy:
-            self._ft_mode: str | None = "plain"
-        elif (
-            isinstance(policy, OasisPolicy)
-            and type(policy).on_fault is OasisPolicy.on_fault
-            and policy.private_filter
-        ):
-            self._ft_mode = "oasis"
-        elif type(policy) is GritPolicy:
-            self._ft_mode = "grit"
-        elif type(policy) is DuplicationPolicy:
-            self._ft_mode = "dup"
-        else:
-            self._ft_mode = None
         self._page_size = config.page_size
         self._obj_arr = np.array(machine._obj_of_page, dtype=np.int64)
-        # A virgin first touch always moves one page host->GPU over PCIe
-        # (all host links are identical) and updates one PTE; the empty
-        # shootdown and disabled capacity manager contribute exactly 0.0,
-        # so this single float is the resolution every lane record pays.
-        transfer_ns = machine.topology.link(HOST, 0).transfer_time_ns(
-            config.page_size
-        )
-        self._virgin_resolution = transfer_ns + lat.pte_update_ns
-        self._occ_ns = lat.fault_driver_occupancy_ns
         self._fault_service_ns = lat.fault_service_ns
         self._fault_par = lat.fault_parallelism
-        self._virgin_service = self._occ_ns + self._virgin_resolution
-        # GRIT charges a metadata memory access on PA-Cache misses before
-        # resolving; parenthesized as the slow path accumulates it.
-        self._virgin_service_meta = self._occ_ns + (
-            lat.metadata_memory_ns + self._virgin_resolution
+        occ_ns = lat.fault_driver_occupancy_ns
+        # A first touch always moves one page host->GPU over PCIe (all
+        # host links are identical) and updates one PTE; the empty
+        # shootdown and disabled capacity manager contribute exactly 0.0.
+        # A bounce shoots down the holder's PTE, pulls the page over
+        # NVLink and updates the PTE; all GPU pairs share identical link
+        # parameters.
+        pcie_ns = machine.topology.link(HOST, 0).transfer_time_ns(
+            config.page_size
         )
-        # Plain on-touch migrates on *every* fault, so cross-GPU bounces
-        # of exclusively-held pages are predictable too: shoot down the
-        # holder's PTE (if mapped), pull the page over NVLink, update the
-        # PTE.  All GPU pairs share identical link parameters.
+        self._service_virgin = occ_ns + (pcie_ns + lat.pte_update_ns)
         if config.n_gpus >= 2:
             nvlink_ns = machine.topology.link(0, 1).transfer_time_ns(
                 config.page_size
             )
         else:
             nvlink_ns = 0.0  # unreachable: no second GPU to bounce from
-        self._service_bounce = self._occ_ns + (
+        self._service_bounce = occ_ns + (
             (lat.pte_invalidate_ns + nvlink_ns) + lat.pte_update_ns
         )
-        self._service_pull = self._occ_ns + (
-            nvlink_ns + lat.pte_update_ns
-        )
-        self._service_remap = self._occ_ns + lat.pte_update_ns
+        self._service_pull = occ_ns + (nvlink_ns + lat.pte_update_ns)
+        self._service_remap = occ_ns + lat.pte_update_ns
         # Per-phase record arrays (set by run_phase).
         self._gpu: np.ndarray | None = None
         self._page: np.ndarray | None = None
@@ -181,14 +139,12 @@ class FastReplay:
         self._is_w: np.ndarray | None = None
         self._weight: np.ndarray | None = None
         self._bit: np.ndarray | None = None
-        self._key: np.ndarray | None = None
-        # Current eligibility window (set by _rebuild).
+        # Current eligibility window (set by _rebuild); a mask is None
+        # when its lane is not admitted.
         self._mask_base = 0
         self._mask_version = -1
         self._mask: np.ndarray | None = None
         self._false_pos: np.ndarray | None = None
-        self._loc: np.ndarray | None = None
-        self._owner_sel: np.ndarray | None = None
         self._fmask: np.ndarray | None = None
         self._f_false_pos: np.ndarray | None = None
         self._f_owner: np.ndarray | None = None
@@ -198,13 +154,16 @@ class FastReplay:
     def for_machine(cls, machine: "Machine") -> "FastReplay | None":
         """A replayer for ``machine``, or None when it must run slow.
 
-        Capacity-managed (oversubscribed) runs touch eviction state on
-        every access, so they always take the per-record path, as does
+        A policy that declares no lane replays per record.  Capacity-
+        managed (oversubscribed) runs touch eviction state on every
+        access, so they always take the per-record path, as does
         anything under ``REPRO_FORCE_SLOW_PATH=1``.  A fault plan active
         from phase 0 disables the fast path outright; plans whose first
         event fires later keep the fast path for the healthy prefix (the
         machine gates per phase via ``injector.fast_path_allowed``).
         """
+        if not machine.policy.fast_lanes:
+            return None
         if machine.capacity.enabled or force_slow_path():
             return None
         injector = getattr(machine, "injector", None)
@@ -220,27 +179,20 @@ class FastReplay:
         if n == 0:
             return
         # Derived SoA arrays are pure functions of the phase records and
-        # the (first_page, n_gpus, pages_per_group) geometry, so a sweep
-        # replaying the same trace under many policies computes them once
-        # and shares them via a cache slot on the phase itself.  All
-        # arrays are read-only below (slicing/indexing only), so sharing
-        # is safe; the counter key is always built so counting and
-        # non-counting policies share one entry.
-        soa_key = (self._first_page, self._n_gpus, self._ppg)
+        # the trace's first page, so a sweep replaying the same trace
+        # under several policies computes them once and shares them via a
+        # cache slot on the phase itself.  All arrays are read-only below
+        # (slicing/indexing only), so sharing is safe.
         cached = getattr(phase, "_soa", None)
-        if cached is not None and cached[0] == soa_key:
-            (_, self._gpu, self._idx, self._is_w,
-             self._bit, self._key) = cached
+        if cached is not None and cached[0] == self._first_page:
+            _, self._gpu, self._idx, self._is_w, self._bit = cached
         else:
             self._gpu = phase.gpu.astype(np.int64)
             self._idx = phase.page - self._first_page
             self._is_w = phase.write != 0
             self._bit = np.left_shift(np.int64(1), self._gpu)
-            self._key = (
-                phase.page // self._ppg
-            ) * self._n_gpus + self._gpu
-            phase._soa = (soa_key, self._gpu, self._idx, self._is_w,
-                          self._bit, self._key)
+            phase._soa = (self._first_page, self._gpu, self._idx,
+                          self._is_w, self._bit)
         self._page = phase.page
         self._weight = phase.weight
         start = 0
@@ -272,28 +224,14 @@ class FastReplay:
                     i += 1
                     continue
             rel = i - self._mask_base
-            if self._mask[rel]:
-                false_pos = self._false_pos
-                nxt = np.searchsorted(false_pos, rel)
-                end_rel = (
-                    int(false_pos[nxt])
-                    if nxt < len(false_pos)
-                    else len(self._mask)
-                )
-                j = self._mask_base + end_rel
+            if self._mask is not None and self._mask[rel]:
+                j = self._mask_base + _run_end(self._false_pos, rel)
                 if j - i >= MIN_RUN:
-                    self._run_bulk(i, j, rel)
+                    self._run_bulk(i, j)
                     i = j
                     continue
             elif self._fmask is not None and self._fmask[rel]:
-                false_pos = self._f_false_pos
-                nxt = np.searchsorted(false_pos, rel)
-                end_rel = (
-                    int(false_pos[nxt])
-                    if nxt < len(false_pos)
-                    else len(self._fmask)
-                )
-                j = self._mask_base + end_rel
+                j = self._mask_base + _run_end(self._f_false_pos, rel)
                 if j - i >= MIN_RUN:
                     self._run_bulk_fault(i, j, rel)
                     # The installs bumped the page-table version; credit
@@ -310,49 +248,26 @@ class FastReplay:
     # -- eligibility -------------------------------------------------------
 
     def _rebuild(self, i: int, c1: int) -> None:
-        """Recompute the eligibility mask for records ``[i, c1)``."""
-        machine = self.machine
-        pt = machine.page_tables
+        """Recompute the eligibility masks for records ``[i, c1)``."""
+        pt = self.machine.page_tables
         views = pt.bulk_views()
         window = slice(i, c1)
         idx_w = self._idx[window]
-        bit_w = self._bit[window]
         mapped_raw = views["mapped"][idx_w]
         copies_raw = views["copies"][idx_w]
         writable_raw = views["writable"][idx_w]
-        owner_w = views["owner"][idx_w]
-        mapped = (mapped_raw & bit_w) != 0
-        has_copy = (copies_raw & bit_w) != 0
-        writable = (writable_raw & bit_w) != 0
-        local = mapped & has_copy
-        eligible = local & (~self._is_w[window] | writable)
-        if self._counting:
-            remote = mapped & ~has_copy
-            if remote.any():
-                keys_w = self._key[window]
-                unique_keys, inverse = np.unique(keys_w, return_inverse=True)
-                totals = np.bincount(inverse, weights=self._weight[window])
-                counters = machine.access_counters
-                threshold = counters.threshold
-                safe = np.fromiter(
-                    (
-                        counters.count_by_key(int(key)) + int(total)
-                        < threshold
-                        for key, total in zip(
-                            unique_keys.tolist(), totals.tolist()
-                        )
-                    ),
-                    dtype=bool,
-                    count=len(unique_keys),
-                )
-                eligible |= remote & safe[inverse]
-        if self._ft_mode == "plain":
-            # Plain on-touch resolves *every* fault with a migration, so
-            # any page in a "simple exclusive" state is predictable:
-            # virgin (host owner, nothing anywhere), or exclusively held
-            # by one GPU — mapped (bounce: shootdown + NVLink pull) or
-            # not (NVLink pull / local remap).  The fused loop tracks
+        if self._steady:
+            bit_w = self._bit[window]
+            local = (mapped_raw & copies_raw & bit_w) != 0
+            writable = (writable_raw & bit_w) != 0
+            self._mask = local & (~self._is_w[window] | writable)
+            self._false_pos = _ineligible(self._mask)
+        if self._migrate:
+            # Simple exclusive: the copy set is exactly the owner (empty
+            # for the host), and the page is either mapped nowhere or
+            # mapped writable by the holder alone.  The fused loop tracks
             # each page's holder as the run migrates it around.
+            owner_w = views["owner"][idx_w]
             owner_bit = np.where(
                 owner_w >= 0,
                 np.left_shift(np.int64(1), np.maximum(owner_w, 0)),
@@ -363,81 +278,28 @@ class FastReplay:
                 | ((mapped_raw == copies_raw) & (writable_raw == mapped_raw))
             )
             self._fmask = fmask
-            self._f_false_pos = np.flatnonzero(~fmask)
+            self._f_false_pos = _ineligible(fmask)
             self._f_owner = owner_w
             self._f_map0 = mapped_raw != 0
-        elif self._ft_mode is not None:
-            # Other predictable policies only cover virgin pages (host
-            # owner, zero copy/mapping masks — no shootdown victims, no
-            # demotable writer).  Window repeats are allowed as long as
-            # every occurrence comes from the same GPU: the first touch
-            # installs a local mapping for that GPU, making the repeats
-            # plain local accesses the fused loop replays in place.
-            virgin = (
-                (mapped_raw == 0)
-                & (copies_raw == 0)
-                & (owner_w == HOST)
-            )
-            if self._ft_mode in ("oasis", "grit"):
-                virgin &= views["policy"][idx_w] == POLICY_ON_TOUCH
-            gpu_w = self._gpu[window]
-            _, first_idx, inverse = np.unique(
-                self._page[window],
-                return_index=True,
-                return_inverse=True,
-            )
-            mixed = np.bincount(
-                inverse,
-                weights=(gpu_w != gpu_w[first_idx][inverse]),
-                minlength=len(first_idx),
-            )
-            virgin &= mixed[inverse] == 0
-            if self._ft_mode == "dup":
-                # A write repeat after a read first touch would hit the
-                # read-only duplicate (protection fault); only pages
-                # whose first touch is a write — collapse installs a
-                # writable mapping — or that see no writes at all are
-                # predictable.
-                is_w_w = self._is_w[window]
-                n_writes = np.bincount(
-                    inverse,
-                    weights=is_w_w,
-                    minlength=len(first_idx),
-                )
-                first_write = is_w_w[first_idx]
-                virgin &= (first_write | (n_writes == 0))[inverse]
-            self._fmask = virgin
-            self._f_false_pos = np.flatnonzero(~virgin)
-        else:
-            self._fmask = None
         self._mask_base = i
-        self._mask = eligible
-        self._false_pos = np.flatnonzero(~eligible)
-        self._loc = local
-        self._owner_sel = views["owner"][idx_w]
         self._mask_version = pt.version
 
     # -- bulk replay -------------------------------------------------------
 
-    def _run_bulk(self, i: int, j: int, rel: int) -> None:
-        """Replay eligible records ``[i, j)`` in bulk (mask is current)."""
-        from repro.sim.machine import REMOTE_ACCESS_BYTES
-
+    def _run_bulk(self, i: int, j: int) -> None:
+        """Replay local, non-faulting records ``[i, j)`` in bulk."""
         machine = self.machine
         n = j - i
         gpu_run = self._gpu[i:j]
         page_run = self._page[i:j]
-        idx_run = self._idx[i:j]
         weight_run = self._weight[i:j]
-        local_run = self._loc[rel:rel + n]
-        owner_run = self._owner_sel[rel:rel + n]
-        run_gpus = np.unique(gpu_run)
+        run_gpus = np.unique(gpu_run).tolist()
 
         # TLB lookups: per-GPU state is sequential, so each GPU's pages go
         # through the inlined LRU loop in record order.
         costs = np.empty(n, dtype=np.float64)
         walk_parts: list[np.ndarray] = []
-        for gpu in run_gpus.tolist():
+        for gpu in run_gpus:
             sel = np.flatnonzero(gpu_run == gpu)
             costs_g, walks_g = machine.tlbs[gpu].translate_run(
                 page_run[sel].tolist()
@@ -448,7 +310,7 @@ class FastReplay:
         if walk_parts:
             walk_pos = np.concatenate(walk_parts)
             bits = machine.page_tables.bulk_views()["policy"][
-                idx_run[walk_pos]
+                self._idx[i:j][walk_pos]
             ]
             unique_bits, bit_counts = np.unique(bits, return_counts=True)
             miss_counts = machine.l2_miss_policy_counts
@@ -458,111 +320,36 @@ class FastReplay:
                 name = policy_name(value)
                 miss_counts[name] = miss_counts.get(name, 0) + int(count)
 
-        # Clock terms, decomposed exactly as Machine.access charges them:
-        # t0 compute, t1 (tlb [+ local]) / mem_par, t2 remote / remote_par.
+        # Clock terms, decomposed exactly as Machine.access charges a
+        # local access: t0 compute, then (tlb + local) / mem_par.
         t0 = weight_run * self._compute_ns
-        t1 = (
-            np.where(
-                local_run, costs + self._local_ns * weight_run, costs
-            )
-            / self._mem_par
-        )
-        per_ns = np.where(owner_run == HOST, self._host_ns, self._remote_ns)
-        t2 = np.where(
-            local_run, 0.0, per_ns * weight_run / self._remote_par
-        )
+        t1 = (costs + self._local_ns * weight_run) / self._mem_par
         clocks = machine.clocks
-        for gpu in run_gpus.tolist():
+        for gpu in run_gpus:
             sel = np.flatnonzero(gpu_run == gpu)
-            terms = np.empty(3 * len(sel) + 1, dtype=np.float64)
+            terms = np.empty(2 * len(sel) + 1, dtype=np.float64)
             terms[0] = clocks[gpu]
-            terms[1::3] = t0[sel]
-            terms[2::3] = t1[sel]
-            terms[3::3] = t2[sel]
+            terms[1::2] = t0[sel]
+            terms[2::2] = t1[sel]
             clocks[gpu] = float(np.cumsum(terms)[-1])
 
         # Stats: integer-valued float counters, exact under bulk sums.
-        stats = machine.stats
-        local_weights = weight_run[local_run]
-        if local_weights.size:
-            stats.add("access.local", int(local_weights.sum()))
-        remote_sel = ~local_run
-        if remote_sel.any():
-            host_sel = remote_sel & (owner_run == HOST)
-            if host_sel.any():
-                stats.add("access.host", int(weight_run[host_sel].sum()))
-            gpu_owner_sel = remote_sel & (owner_run != HOST)
-            if gpu_owner_sel.any():
-                stats.add(
-                    "access.remote", int(weight_run[gpu_owner_sel].sum())
-                )
-            # Link traffic, batched per (gpu, owner) pair.
-            pair_sel = np.flatnonzero(remote_sel & (owner_run != gpu_run))
-            if pair_sel.size:
-                stride = self._n_gpus + 1
-                pair_ids = (
-                    gpu_run[pair_sel] * stride + owner_run[pair_sel] + 1
-                )
-                unique_pairs, inverse = np.unique(
-                    pair_ids, return_inverse=True
-                )
-                byte_weights = np.bincount(
-                    inverse, weights=weight_run[pair_sel]
-                )
-                message_counts = np.bincount(inverse)
-                topology = machine.topology
-                for pair, weight_total, messages in zip(
-                    unique_pairs.tolist(),
-                    byte_weights.tolist(),
-                    message_counts.tolist(),
-                ):
-                    topology.record_transfer_bulk(
-                        pair // stride,
-                        pair % stride - 1,
-                        REMOTE_ACCESS_BYTES * int(weight_total),
-                        int(messages),
-                    )
-            # Access counters: every key was proven trip-free at mask
-            # build, so bulk addition matches per-record counting.
-            if self._counting:
-                remote_keys = self._key[i:j][remote_sel]
-                unique_keys, inverse = np.unique(
-                    remote_keys, return_inverse=True
-                )
-                key_weights = np.bincount(
-                    inverse, weights=weight_run[remote_sel]
-                )
-                counters = machine.access_counters
-                for key, weight_total in zip(
-                    unique_keys.tolist(), key_weights.tolist()
-                ):
-                    counters.add_bulk_below_threshold(
-                        int(key), int(weight_total)
-                    )
+        machine.stats.add("access.local", int(weight_run.sum()))
 
     def _run_bulk_fault(self, i: int, j: int, rel: int) -> None:
-        """Replay a run of predictable page faults in one fused loop.
+        """Replay a run of predictable on-touch faults in one fused loop.
 
-        In plain on-touch mode every record touches a page in a simple
-        exclusive state, so each access is one of: a local access by the
-        current holder, a virgin first touch (host->GPU pull over PCIe),
-        a cross-GPU bounce (holder PTE shootdown + NVLink pull), an
-        NVLink pull from an unmapped owner, or a local remap — each with
-        a fixed driver service time.  The other modes only admit virgin
-        first touches (plus same-GPU repeats, replayed as local
-        accesses).  The sequential state — TLB LRU dicts, the driver
-        FIFO, per-GPU clocks, GRIT's PA-Cache, residency LRU lists and
-        each page's current holder — is advanced in one fused scalar
-        loop; everything order-insensitive (stats, page-table installs,
-        counters, link bytes) is applied in bulk afterwards.  The
-        arithmetic mirrors ``Machine.access`` + ``Machine._fault`` + the
-        driver primitives operation for operation, so the results are
-        bit-identical to per-record replay.
+        The sequential state — TLB LRU dicts, the driver FIFO, per-GPU
+        clocks, residency LRU lists and each page's current holder — is
+        advanced in one fused scalar loop; everything order-insensitive
+        (stats, page-table installs, counter resets, link bytes) is
+        applied in bulk afterwards.  The arithmetic mirrors
+        ``Machine.access`` + ``Machine._fault`` + ``UVMDriver.migrate``
+        operation for operation, so the results are bit-identical to
+        per-record replay.
         """
         machine = self.machine
         n = j - i
-        mode = self._ft_mode
-        plain = mode == "plain"
         gpu_run = self._gpu[i:j]
         idx_run = self._idx[i:j]
         gpu_l = gpu_run.tolist()
@@ -571,16 +358,15 @@ class FastReplay:
         pol_l = (
             machine.page_tables.bulk_views()["policy"][idx_run].tolist()
         )
-        if plain:
-            own0_l = self._f_owner[rel:rel + n].tolist()
-            map0_l = self._f_map0[rel:rel + n].tolist()
+        own0_l = self._f_owner[rel:rel + n].tolist()
+        map0_l = self._f_map0[rel:rel + n].tolist()
 
         compute_ns = self._compute_ns
         local_ns = self._local_ns
         mem_par = self._mem_par
         fault_service = self._fault_service_ns
         fault_par = self._fault_par
-        service_virgin = self._virgin_service
+        service_virgin = self._service_virgin
         service_bounce = self._service_bounce
         service_pull = self._service_pull
         service_remap = self._service_remap
@@ -613,14 +399,6 @@ class FastReplay:
         walk_hist: dict[int, int] = {}
         local_extra = 0
         shoot_total = 0
-        grit = mode == "grit"
-        if grit:
-            pa = machine.policy.pa_cache
-            pa_lines = pa._lines
-            pa_cap = pa._entries
-            pa_hits = 0
-            pa_misses = 0
-            service_meta = self._virgin_service_meta
         #: page -> current exclusive holder, as the run moves pages.
         holder: dict[int, int] = {}
         #: page -> final holder, for pages this run actually migrated.
@@ -633,12 +411,8 @@ class FastReplay:
             w = weight_l[k]
             h = holder.get(page, -2)
             if h == -2:
-                if plain:
-                    o = own0_l[k]
-                    m0 = map0_l[k]
-                else:
-                    o = HOST  # non-plain lanes only admit virgin pages
-                    m0 = False
+                o = own0_l[k]
+                m0 = map0_l[k]
             else:
                 o = h
                 m0 = True
@@ -687,20 +461,7 @@ class FastReplay:
             # Fault path.
             c = clocks[g] + w * compute_ns + cost / mem_par
             if o == HOST:
-                if grit:
-                    if page in pa_lines:
-                        del pa_lines[page]
-                        pa_lines[page] = None
-                        pa_hits += 1
-                        service = service_virgin
-                    else:
-                        if len(pa_lines) >= pa_cap:
-                            del pa_lines[next(iter(pa_lines))]
-                        pa_lines[page] = None
-                        pa_misses += 1
-                        service = service_meta
-                else:
-                    service = service_virgin
+                service = service_virgin
                 pcie_counts[g] += 1
             elif o == g:
                 # Holder faulting on its own unmapped page: remap only.
@@ -767,12 +528,10 @@ class FastReplay:
         for g, count in enumerate(fault_counts):
             if count:
                 stats.add(fault_keys[g], count)
-        page_size = self._page_size
-        pt = machine.page_tables
-        topology = machine.topology
         if n_faults:
-            inst = np.array(inst_ks, dtype=np.int64)
-            inst_idx = idx_run[inst]
+            page_size = self._page_size
+            topology = machine.topology
+            inst_idx = idx_run[np.array(inst_ks, dtype=np.int64)]
             unique_objs, obj_counts = np.unique(
                 self._obj_arr[inst_idx], return_counts=True
             )
@@ -783,46 +542,23 @@ class FastReplay:
                 if oid >= 0:
                     stats.add(object_keys[oid], count)
             stats.add("fault.page", n_faults)
-            if mode == "dup":
-                write_inst = self._is_w[i:j][inst]
-                n_write = int(np.count_nonzero(write_inst))
-                n_read = n_faults - n_write
-                if n_read:
-                    stats.add("duplication.count", n_read)
-                    stats.add("duplication.bytes", n_read * page_size)
-                    read_sel = ~write_inst
-                    pt.bulk_install_duplicate(
-                        inst_idx[read_sel], gpu_run[inst][read_sel]
-                    )
-                if n_write:
-                    stats.add("collapse.count", n_write)
-                    # The per-record path adds len(victims) == 0 per
-                    # collapse; replicate the zero-valued key it
-                    # creates.
-                    stats.add("collapse.invalidated_copies", 0)
-                    pt.bulk_install_exclusive(
-                        inst_idx[write_inst], gpu_run[inst][write_inst]
-                    )
-            else:
-                if mode == "oasis":
-                    stats.add("oasis.private_fault", n_faults)
-                stats.add("migration.count", n_faults)
-                stats.add("migration.bytes", n_faults * page_size)
-                pages_arr = np.fromiter(
-                    install.keys(), dtype=np.int64, count=len(install)
-                )
-                gpus_arr = np.fromiter(
-                    install.values(), dtype=np.int64, count=len(install)
-                )
-                pt.bulk_install_exclusive(
-                    pages_arr - self._first_page, gpus_arr
-                )
-                # Migration resets the whole 64 KB counter group, which
-                # can clear neighbouring pages' counts — replay exactly.
-                counters = machine.access_counters
-                if counters.active_counters:
-                    for k in inst_ks:
-                        counters.reset_group(page_l[k])
+            stats.add("migration.count", n_faults)
+            stats.add("migration.bytes", n_faults * page_size)
+            pages_arr = np.fromiter(
+                install.keys(), dtype=np.int64, count=len(install)
+            )
+            gpus_arr = np.fromiter(
+                install.values(), dtype=np.int64, count=len(install)
+            )
+            machine.page_tables.bulk_install_exclusive(
+                pages_arr - self._first_page, gpus_arr
+            )
+            # Migration resets the whole 64 KB counter group, which can
+            # clear neighbouring pages' counts — replay exactly.
+            counters = machine.access_counters
+            if counters.active_counters:
+                for k in inst_ks:
+                    counters.reset_group(page_l[k])
             if shoot_total:
                 stats.add("shootdown.count", shoot_total)
             n_pcie = sum(pcie_counts)
@@ -840,10 +576,15 @@ class FastReplay:
                     topology.record_transfer_bulk(
                         a, b, count * page_size, count
                     )
-        if grit:
-            pa.hits += pa_hits
-            pa.misses += pa_misses
-            if pa_misses:
-                stats.add("grit.pa_cache_miss", pa_misses)
         if local_extra:
             stats.add("access.local", local_extra)
+
+
+def _ineligible(mask: np.ndarray) -> np.ndarray:
+    """Offsets of ``mask``'s False entries, ending with ``len(mask)``."""
+    return np.flatnonzero(np.append(~mask, True))
+
+
+def _run_end(false_pos: np.ndarray, rel: int) -> int:
+    """Window offset where the eligible run starting at ``rel`` ends."""
+    return int(false_pos[np.searchsorted(false_pos, rel)])

@@ -8,10 +8,10 @@ shared across a cohort instead of being paid per run:
 * the **trace** itself — generated once and reused (the runner keeps a
   small LRU of built traces), which also shares
 * the **per-phase SoA replay arrays** — the vectorized replayer's
-  derived arrays (int64 gpu lane, page offsets, write mask, gpu bit,
-  counter-group key) are computed once per phase and cached *on the
-  phase* (:meth:`FastReplay.run_phase`), so every policy variant replays
-  the same structure-of-arrays pass over them; and
+  derived arrays (int64 gpu lane, page offsets, write mask, gpu bit)
+  are computed once per phase and cached *on the phase*
+  (:meth:`FastReplay.run_phase`), so every lane-declaring policy variant
+  replays the same structure-of-arrays pass over them; and
 * the **phase prefix** — runs whose placement decisions agree through a
   boundary resume from one shared snapshot (:mod:`repro.sim.snapshot`).
 

@@ -121,3 +121,40 @@ def test_stats_route_includes_metrics_snapshot(server):
     assert payload["service"]["completed"] == 1
     assert payload["metrics"]["counters"]["serve.completed"] == 1
     assert payload["sim_counters"]["fault.page"] > 0
+
+
+def test_task_failing_during_drain_is_reported_once(monkeypatch, capsys):
+    """A listener that raises while shutdown tears it down is not lost."""
+    import asyncio
+    import os
+    import signal
+
+    from repro.serve import SimulationService
+    from repro.serve.http import ServeHttpServer, run_server
+
+    async def failing_serve_forever(self):
+        try:
+            await asyncio.Event().wait()
+        except asyncio.CancelledError:
+            raise RuntimeError("listener broke on teardown") from None
+
+    monkeypatch.setattr(ServeHttpServer, "serve_forever",
+                        failing_serve_forever)
+    before = signal.getsignal(signal.SIGTERM)
+
+    async def terminate_once_armed():
+        while signal.getsignal(signal.SIGTERM) == before:
+            await asyncio.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    async def main():
+        killer = asyncio.create_task(terminate_once_armed())
+        await run_server(SimulationService(jobs=1), "127.0.0.1", 0,
+                         drain_timeout_s=5.0)
+        await killer
+
+    asyncio.run(main())
+    out = capsys.readouterr()
+    assert "draining" in out.out
+    assert out.err.count("serve listener failed during shutdown") == 1
+    assert "RuntimeError: listener broke on teardown" in out.err

@@ -3,8 +3,10 @@
 The vectorized replayer (:mod:`repro.sim.fastpath`) promises that every
 observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
-tests hold it to that across every application and the policies with
-bulk fault lanes, plus the supporting bulk primitives (``translate_run``,
+tests hold it to that across every application and every registry
+policy (for a policy that declares no replay lane, the pair checks that
+its default replay is the per-record one), pin which policies declare
+which lanes, and cover the supporting bulk primitives (``translate_run``,
 the page-table numpy mirrors, the lexsort interleaver).
 """
 
@@ -13,8 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import baseline_config, get_workload, make_policy, simulate
-from repro.config import SystemConfig
+from repro import (
+    POLICY_FACTORIES,
+    OnTouchPolicy,
+    baseline_config,
+    get_workload,
+    make_policy,
+    simulate,
+)
 from repro.sim.fastpath import force_slow_path
 from repro.sim.machine import Machine
 from repro.tlb import TLBHierarchy
@@ -22,9 +30,21 @@ from repro.workloads import APPLICATION_ORDER
 from repro.workloads.base import TraceBuilder
 
 ALL_APPS = list(APPLICATION_ORDER)
-POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit"]
+#: Every registry policy's declared replay lanes; a dispatch change must
+#: show up here as a named diff.
+DECLARED_LANES = {
+    "on_touch": {"steady", "migrate_on_fault"},
+    "access_counter": set(),
+    "duplication": set(),
+    "ideal": {"steady"},
+    "grit": set(),
+    "static_advise": set(),
+    "oasis": set(),
+    "oasis_inmem": set(),
+}
+LANE_POLICIES = [name for name, lanes in DECLARED_LANES.items() if lanes]
 
-#: Small but fault-rich footprint; keeps 55 paired runs affordable.
+#: Small but fault-rich footprint; keeps 88 paired runs affordable.
 FOOTPRINT_MB = 3.0
 
 
@@ -62,9 +82,47 @@ class TestForceSlowPath:
         assert machine._fast is None
 
 
+class TestDeclaredLanes:
+    def test_registry_lanes_are_pinned(self):
+        declared = {
+            name: set(factory.fast_lanes)
+            for name, factory in POLICY_FACTORIES.items()
+        }
+        assert declared == DECLARED_LANES
+
+    @pytest.mark.parametrize(
+        "policy", [p for p in DECLARED_LANES if p not in LANE_POLICIES]
+    )
+    def test_undeclared_policy_builds_no_replayer(
+        self, policy, config, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
+        trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
+        machine = Machine(config, trace, make_policy(policy))
+        assert machine._fast is None
+
+    def test_on_fault_override_drops_the_fault_lane(self, monkeypatch):
+        class CountingOnTouch(OnTouchPolicy):
+            def on_fault(self, gpu, page, is_write):
+                self.stats.add("test.faults")
+                return super().on_fault(gpu, page, is_write)
+
+        assert CountingOnTouch.fast_lanes == {"steady"}
+        config = baseline_config()
+        trace = get_workload("bfs", config, footprint_mb=FOOTPRINT_MB)
+        monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
+        machine = Machine(config, trace, CountingOnTouch())
+        assert machine._fast is not None
+        fast = machine.run()
+        monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
+        slow = simulate(config, trace, CountingOnTouch())
+        assert fast.stats["test.faults"] == fast.stats["fault.page"]
+        assert fast.to_dict() == slow.to_dict()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("app", ALL_APPS)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", list(DECLARED_LANES))
     def test_fast_path_is_bit_identical(self, app, policy, monkeypatch):
         fast, slow = run_pair(app, policy, monkeypatch)
         assert fast.total_time_ns == slow.total_time_ns
