@@ -56,7 +56,7 @@ from repro.chaos import ChaosPlan, ClusterChaos  # noqa: E402
 from repro.chaos.plan import WorkerKill  # noqa: E402
 from repro.cluster import LocalCluster  # noqa: E402
 from repro.harness import run_sim  # noqa: E402
-from repro.harness.diskcache import SharedResultStore, cache_key  # noqa: E402
+from repro.harness.diskcache import DiskCache, cache_key  # noqa: E402
 from repro.serve.client import ServerBusy  # noqa: E402
 
 #: Scaling-phase speedup floors from ISSUE 8, armed only when the host
@@ -259,7 +259,7 @@ def phase_kill_steal(workers: int, n_jobs: int, kill_op: int,
                 # dies, the failover owner has).
                 client.submit_nowait(app, policy, footprint_mb=mb, seed=s)
             fired = chaos.report()
-        store = SharedResultStore(cluster.cache_dir)
+        store = DiskCache(cluster.cache_dir)
         deadline = time.monotonic() + 120
         missing = set(specs)
         while missing and time.monotonic() < deadline:

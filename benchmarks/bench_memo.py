@@ -90,7 +90,7 @@ def main(argv=None) -> int:
 
         # Drop only the result tier; the snapshot store must carry the
         # warm sweep on its own.
-        runner._CACHE.clear()
+        runner.result_store().clear()
         results, t_warm, warm_summary = _sweep(config, pairs, args.jobs)
         speedup = t_cold / t_warm if t_warm > 0 else float("inf")
         print(f"  warm (memo, populated):   {t_warm:8.2f}s  "

@@ -156,9 +156,7 @@ def main(argv: list[str] | None = None) -> int:
 
     state = Path(tempfile.mkdtemp(prefix="repro-bench-recovery-"))
     journal_dir = str(state / "journal")
-    prev_disk, prev_jobs = runner._DISK, runner._JOBS
-    runner.configure(jobs=args.jobs, cache_dir=str(state / "cache"))
-    try:
+    with runner.configured(jobs=args.jobs, cache_dir=str(state / "cache")):
         burst_report = asyncio.run(
             _phase_burst_and_kill(journal_dir, args.burst, args.jobs)
         )
@@ -200,9 +198,6 @@ def main(argv: list[str] | None = None) -> int:
             **{f"burst_{k}": v for k, v in burst_report.items()},
             **recover_report,
         }
-    finally:
-        runner.clear_cache()
-        runner._DISK, runner._JOBS = prev_disk, prev_jobs
     from benchmarks.conftest import write_bench_artifact
 
     out = write_bench_artifact("recovery", report, out=args.out)

@@ -277,9 +277,7 @@ def run_soak(
         raise ValueError("cycles must be >= 1")
     journal_dir = Path(journal_dir)
     journal_dir.mkdir(parents=True, exist_ok=True)
-    prev_disk, prev_jobs = runner._DISK, runner._JOBS
-    runner.configure(jobs=jobs, cache_dir=str(cache_dir))
-    try:
+    with runner.configured(jobs=jobs, cache_dir=str(cache_dir)):
         return asyncio.run(
             _soak(
                 cycles=cycles,
@@ -292,6 +290,3 @@ def run_soak(
                 phase_timeout_s=phase_timeout_s,
             )
         )
-    finally:
-        runner.clear_cache()
-        runner._DISK, runner._JOBS = prev_disk, prev_jobs

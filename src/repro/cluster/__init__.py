@@ -12,7 +12,7 @@ scales it *out*.  ``repro-oasis cluster --workers N`` runs N real
 * :mod:`repro.cluster.router` — the :class:`ClusterRouter`:
   registration, heartbeat + wedge detection, journal stealing from
   dead workers, lane-aware load shedding, the shared
-  :class:`~repro.harness.diskcache.SharedResultStore` fast path, and
+  result :class:`~repro.harness.diskcache.Store` fast path, and
   a serve-compatible HTTP surface (:class:`RouterHttpServer`).
 * :mod:`repro.cluster.supervisor` — :class:`LocalCluster`, which hosts
   the router and spawns/kills/respawns the worker subprocesses (used

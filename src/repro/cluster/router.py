@@ -10,11 +10,11 @@ workers.  Its job is four invariants:
   effective cluster-wide.  The router additionally single-flights
   *waiting* submissions itself, so a 64-identical burst costs one
   forwarded HTTP call, not 64.
-* **Shared results** — router and workers share one
-  :class:`~repro.harness.diskcache.SharedResultStore` directory.
-  Workers persist results through their normal harness store path; the
-  router serves repeats straight from the shared tier (LRU first)
-  without touching any worker.
+* **Shared results** — router and workers share one result cache
+  directory.  Workers persist results through their normal harness
+  store path; the router reads it through a
+  :class:`~repro.harness.diskcache.Store` and serves repeats straight
+  from it (memory tier first) without touching any worker.
 * **Liveness** — a heartbeat task polls every worker's ``/healthz``.
   A worker that misses ``heartbeat_miss_limit`` consecutive polls — or
   answers while visibly wedged (its ``oldest_unresolved_age_s`` beyond
@@ -47,7 +47,7 @@ from urllib.parse import urlparse
 from repro import POLICY_FACTORIES, baseline_config
 from repro.config import SystemConfig
 from repro.cluster.ring import DEFAULT_VNODES, EmptyRingError, HashRing
-from repro.harness.diskcache import SharedResultStore, cache_key
+from repro.harness.diskcache import DiskCache, Store
 from repro.obs import MetricsRegistry, MetricsSnapshot, RecordingTracer
 from repro.obs.export import prometheus_multi
 from repro.serve.client import (
@@ -82,6 +82,9 @@ LANE_SHED_FRACTIONS = {"interactive": 1.0, "batch": 0.85, "bulk": 0.6}
 
 #: Default cap on concurrently forwarded waiting requests.
 DEFAULT_MAX_INFLIGHT = 128
+
+#: Results the router keeps in its store's memory tier.
+STORE_ENTRIES = 256
 
 #: Heartbeat cadence and tolerance.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -142,7 +145,6 @@ class ClusterRouter:
         config: SystemConfig | None = None,
         *,
         store_dir: str | None = None,
-        store_capacity: int = 256,
         vnodes: int = DEFAULT_VNODES,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
@@ -156,7 +158,7 @@ class ClusterRouter:
         if heartbeat_miss_limit < 1:
             raise ValueError("heartbeat_miss_limit must be >= 1")
         self.config = config if config is not None else baseline_config()
-        self.store = SharedResultStore(store_dir, capacity=store_capacity)
+        self.store = Store(DiskCache(store_dir), max_entries=STORE_ENTRIES)
         self.ring = HashRing(vnodes=vnodes)
         self.max_inflight = max_inflight
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -386,12 +388,7 @@ class ClusterRouter:
             raise ValueError(f"unknown app {spec.app!r}")
         if spec.policy not in POLICY_FACTORIES:
             raise ValueError(f"unknown policy {spec.policy!r}")
-        config = spec.resolve_config(self.config)
-        key = cache_key(
-            config, spec.app, spec.policy,
-            spec.footprint_mb, spec.seed, spec.policy_kwargs,
-        )
-        return spec, key
+        return spec, spec.key(spec.resolve_config(self.config))
 
     def route(self, payload: dict) -> dict:
         """Pure placement lookup (``POST /route``): spec -> key + owner."""
@@ -433,7 +430,7 @@ class ClusterRouter:
         self.metrics.inc("cluster.submitted")
         started = time.monotonic()
 
-        cached = await asyncio.to_thread(self.store.load, key)
+        cached = await asyncio.to_thread(self.store.get, key)
         if cached is not None:
             self.metrics.inc("cluster.cache_hits")
             self._observe_latency(started)
@@ -480,8 +477,10 @@ class ClusterRouter:
             self._publish_gauges()
         if wait and "result" in response:
             # The worker already persisted the result to the shared
-            # tier; remembering it here only warms the router's LRU.
-            await asyncio.to_thread(self._remember, key, response["result"])
+            # tier; remembering it here only warms the memory tier.
+            await asyncio.to_thread(
+                self._warm_memory, key, response["result"]
+            )
         if future is not None:
             if self._inflight.get(key) is future:
                 del self._inflight[key]
@@ -490,13 +489,14 @@ class ClusterRouter:
         self._observe_latency(started)
         return response
 
-    def _remember(self, key: str, result_dict: dict) -> None:
+    def _warm_memory(self, key: str, result_dict: dict) -> None:
         from repro.sim import SimulationResult
 
         try:
-            self.store.remember(key, SimulationResult.from_dict(result_dict))
+            result = SimulationResult.from_dict(result_dict)
         except (KeyError, TypeError, ValueError):
-            pass  # an odd payload only costs the LRU warm-up
+            return  # an odd payload only costs the memory-tier warm-up
+        self.store.put(key, result, persist=False)
 
     def _observe_latency(self, started: float) -> None:
         self._route_latency.observe((time.monotonic() - started) * 1e3)
@@ -574,9 +574,8 @@ class ClusterRouter:
         self.metrics.set_gauge(
             "cluster.inflight_keys", float(len(self._inflight))
         )
-        store = self.store.stats()
         self.metrics.set_gauge("cluster.store_lru_size",
-                               float(store["lru_size"]))
+                               float(self.store.stats()["entries"]))
         for worker in self.workers.values():
             prefix = f"cluster.worker.{worker.name}"
             self.metrics.set_gauge(f"{prefix}.alive", float(worker.alive))

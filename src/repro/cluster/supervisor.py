@@ -62,7 +62,6 @@ class LocalCluster:
         router_port: int = 0,
         jobs: int = 1,
         max_pending: int = 256,
-        store_capacity: int = 256,
         max_inflight: int = 128,
         heartbeat_interval_s: float = 0.25,
         heartbeat_miss_limit: int = 3,
@@ -86,7 +85,6 @@ class LocalCluster:
 
         self.router = ClusterRouter(
             store_dir=self.cache_dir,
-            store_capacity=store_capacity,
             max_inflight=max_inflight,
             heartbeat_interval_s=heartbeat_interval_s,
             heartbeat_miss_limit=heartbeat_miss_limit,

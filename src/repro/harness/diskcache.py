@@ -1,44 +1,51 @@
-"""Persistent on-disk store for simulation results.
+"""Two-tier store for simulation results and phase snapshots.
 
 Simulations are deterministic functions of (system config, application,
 footprint, seed, policy, policy kwargs), so their results can be reused
-across processes and sessions, not just within one interpreter.  The
-store keys each run by a SHA-256 content hash of that full parameter
-tuple — plus a simulator-version salt and the replay-path selection, so
-a semantic change to the simulator or an ``REPRO_FORCE_SLOW_PATH`` A/B
-run can never read a stale entry — and keeps one JSON file per result
-under ``results/cache/`` (override with ``REPRO_CACHE_DIR``).
+across processes and sessions, not just within one interpreter.  Each
+run is identified by :func:`cache_key`: a SHA-256 content hash of that
+full parameter tuple, salted with :func:`simulator_version` (a digest of
+the simulator's own source) and the replay-path selection.  A change to
+the simulator or a ``REPRO_FORCE_SLOW_PATH`` A/B run therefore never
+reads a stale entry.
+
+:class:`Store` is the one cache shape: a bounded, lock-guarded memory
+tier over an optional :class:`DiskCache` tier.  The runner keeps its
+results in one, :class:`~repro.sim.sweep.PhaseMemo` its snapshots, and
+the cluster router its shared-tier view.
+
+:class:`DiskCache` is one directory of content-addressed JSON entries
+(default ``results/cache/``, override with ``REPRO_CACHE_DIR``) holding
+two record kinds: whole-run results at ``<root>/<kk>/<key>.json`` and
+phase-boundary snapshot blobs (see :mod:`repro.sim.snapshot`) at
+``<root>/snap/<kk>/<key>.json``.  Snapshot payloads are opaque bytes
+here; the snapshot layer validates them and discards a blob that decodes
+but lies through :meth:`Store.discard`.
 
 Writes are atomic and durable (temp file + ``fsync`` + ``os.replace`` +
 directory ``fsync``), so concurrent workers racing on the same key at
 worst both compute it; neither can observe a half-written file, and a
-power loss after :meth:`DiskCache.store` returns cannot roll the entry
-back.  Set ``REPRO_NO_FSYNC=1`` to skip the durability barriers for
-test speed (atomicity is unaffected).
+power loss after a store returns cannot roll the entry back.  Set
+``REPRO_NO_FSYNC=1`` to skip the durability barriers for test speed
+(atomicity is unaffected).
 
-Every entry carries a content checksum over its result payload.  A load
-that finds a truncated, unparsable, mislabeled or checksum-mismatched
-file treats it as a miss, moves the file into ``<root>/quarantine/`` for
+Every entry carries a content checksum over its payload.  A load that
+finds a truncated, unparsable, mislabeled or checksum-mismatched file
+treats it as a miss, moves the file into ``<root>/quarantine/`` for
 post-mortem inspection, and counts it in :meth:`DiskCache.stats` — a
 corrupted cache (killed worker mid-write on a non-atomic filesystem,
 bit rot, manual tampering) can never crash a sweep or serve wrong data.
-
-Besides whole-run results, the store holds a second record kind:
-**phase-boundary snapshot blobs** (see :mod:`repro.sim.snapshot`) under
-``<root>/snap/``, with the same atomic-write, checksum and quarantine
-discipline (:meth:`DiskCache.store_blob` / :meth:`DiskCache.load_blob`).
-Snapshot payloads are opaque bytes here — the snapshot layer runs its
-own structural validation on top and calls
-:meth:`DiskCache.quarantine_blob` for entries that decode but lie.
 """
 
 from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pickle
 import tempfile
 import threading
 from collections import OrderedDict
@@ -48,14 +55,23 @@ from repro.config import SystemConfig
 from repro.sim.fastpath import force_slow_path
 from repro.sim.results import SimulationResult
 
-#: Bump whenever simulator semantics change in a way that alters results;
-#: every previously cached entry becomes unreachable (stale files are
-#: inert JSON and can be deleted with ``repro-oasis``'s cache pruning or
-#: a plain ``rm -r``).
-SIMULATOR_VERSION = 1
+#: The ``repro`` package directory that :func:`simulator_version` reads.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = "results/cache"
+
+#: Record kinds: (subdirectory under the root, chaos hook category, hit
+#: counter, miss counter).
+_KINDS = {
+    "result": ("", "result", "disk_hits", "disk_misses"),
+    "snapshot": ("snap", "blob", "snap_hits", "snap_misses"),
+}
+
+#: The counters :meth:`DiskCache.stats` reports.
+DISK_COUNTERS = (
+    "disk_hits", "disk_misses", "disk_quarantined", "snap_hits", "snap_misses",
+)
 
 #: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
 _CHAOS = None
@@ -78,6 +94,24 @@ def fsync_dir(path: Path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over every ``.py`` file under ``root``, by relative path."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def simulator_version() -> str:
+    """Digest of the whole ``repro`` package source, computed once per
+    process on first use.  Any edit to it (even one that cannot change a
+    result) makes every previously cached entry unreachable; stale files
+    are inert JSON and can be deleted with a plain ``rm -r``."""
+    return source_digest(_PACKAGE_ROOT)
 
 
 def _canonical(value):
@@ -134,7 +168,7 @@ def cache_key(
     entry.
     """
     payload = {
-        "simulator_version": SIMULATOR_VERSION,
+        "simulator_version": simulator_version(),
         "slow_path": force_slow_path(),
         "config": dataclasses.asdict(config),
         "app": app,
@@ -153,22 +187,35 @@ def _result_checksum(result_dict: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _decode_result(payload: dict) -> SimulationResult:
+    result_dict = payload["result"]
+    if payload["checksum"] != _result_checksum(result_dict):
+        raise ValueError("checksum mismatch")
+    return SimulationResult.from_dict(result_dict)
+
+
+def _decode_blob(payload: dict) -> bytes:
+    blob = base64.b64decode(payload["blob"], validate=True)
+    if payload["checksum"] != hashlib.sha256(blob).hexdigest():
+        raise ValueError("checksum mismatch")
+    return blob
+
+
 class DiskCache:
-    """One directory of content-addressed simulation results."""
+    """One directory of content-addressed results and snapshot blobs."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         if root is None:
             root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
         self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-        self.snap_hits = 0
-        self.snap_misses = 0
+        self.reset_stats()
 
-    def _path(self, key: str) -> Path:
+    def reset_stats(self) -> None:
+        self.counts = dict.fromkeys(DISK_COUNTERS, 0)
+
+    def _path(self, key: str, kind: str = "result") -> Path:
         # Two-level fan-out keeps directory listings manageable.
-        return self.root / key[:2] / f"{key}.json"
+        return self.root.joinpath(_KINDS[kind][0], key[:2], f"{key}.json")
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside so it is inspectable but inert."""
@@ -182,7 +229,7 @@ class DiskCache:
             # quarantined — leave the counter alone so stats() stays
             # truthful.
             return
-        self.quarantined += 1
+        self.counts["disk_quarantined"] += 1
 
     def _atomic_write(self, path: Path, payload: dict, category: str) -> Path:
         """Durably write one JSON entry: tmp + fsync + rename + dir fsync.
@@ -222,234 +269,253 @@ class DiskCache:
             _CHAOS.post_write(category, path)
         return path
 
-    def load(self, key: str) -> SimulationResult | None:
-        """The stored result for ``key``, or None on miss/corruption.
+    def _read(self, key: str, kind: str, decode):
+        """The decoded ``kind`` entry for ``key``, or None.
 
         Corrupt entries — truncated or unparsable JSON, missing fields,
         a key that does not match the filename, or a checksum mismatch —
         are quarantined rather than raised: a damaged cache degrades to
         recomputation, never to a crashed or wrong-answer sweep.
         """
-        path = self._path(key)
+        _sub, category, hit, miss = _KINDS[kind]
+        path = self._path(key, kind)
         try:
             if _CHAOS is not None:
-                _CHAOS.read_fault("result", path)
+                _CHAOS.read_fault(category, path)
             with path.open() as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
+            self.counts[miss] += 1
             return None
         except (json.JSONDecodeError, UnicodeDecodeError, EOFError):
-            self.misses += 1
+            self.counts[miss] += 1
             self._quarantine(path)
             return None
         except OSError:
-            self.misses += 1
+            self.counts[miss] += 1
             return None
         try:
             if payload["key"] != key:
                 raise ValueError("entry key does not match its filename")
-            result_dict = payload["result"]
-            if payload["checksum"] != _result_checksum(result_dict):
-                raise ValueError("checksum mismatch")
-            result = SimulationResult.from_dict(result_dict)
+            value = decode(payload)
         except (KeyError, TypeError, ValueError):
-            self.misses += 1
+            self.counts[miss] += 1
             self._quarantine(path)
             return None
-        self.hits += 1
-        return result
+        self.counts[hit] += 1
+        return value
+
+    def _write(self, key: str, kind: str, checksum: str, field: str,
+               value) -> Path:
+        """Persist one entry under ``key`` atomically; returns the path."""
+        payload = {
+            "key": key,
+            "simulator_version": simulator_version(),
+            "checksum": checksum,
+            field: value,
+        }
+        return self._atomic_write(
+            self._path(key, kind), payload, _KINDS[kind][1]
+        )
+
+    def load(self, key: str) -> SimulationResult | None:
+        """The stored result for ``key``, or None (see :meth:`_read`)."""
+        return self._read(key, "result", _decode_result)
 
     def store(self, key: str, result: SimulationResult) -> Path:
         """Persist ``result`` under ``key`` atomically; returns the path."""
         result_dict = result.to_dict()
-        payload = {
-            "key": key,
-            "simulator_version": SIMULATOR_VERSION,
-            "checksum": _result_checksum(result_dict),
-            "result": result_dict,
-        }
-        return self._atomic_write(self._path(key), payload, "result")
+        return self._write(key, "result", _result_checksum(result_dict),
+                           "result", result_dict)
 
     def has(self, key: str) -> bool:
-        """Whether an entry file exists for ``key`` (no validation)."""
+        """Whether a result file exists for ``key`` (no validation)."""
         return self._path(key).exists()
 
-    # -- snapshot blobs ----------------------------------------------------
-
-    def _blob_path(self, key: str) -> Path:
-        return self.root / "snap" / key[:2] / f"{key}.json"
-
-    def has_blob(self, key: str) -> bool:
-        return self._blob_path(key).exists()
-
     def load_blob(self, key: str) -> bytes | None:
-        """The stored snapshot blob for ``key``, or None.
-
-        The same degradation contract as :meth:`load`: anything
-        truncated, unparsable, mislabeled or checksum-mismatched is
-        quarantined and reported as a miss, never raised.
-        """
-        path = self._blob_path(key)
-        try:
-            if _CHAOS is not None:
-                _CHAOS.read_fault("blob", path)
-            with path.open() as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            self.snap_misses += 1
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, EOFError):
-            self.snap_misses += 1
-            self._quarantine(path)
-            return None
-        except OSError:
-            self.snap_misses += 1
-            return None
-        try:
-            if payload["key"] != key:
-                raise ValueError("entry key does not match its filename")
-            blob = base64.b64decode(payload["blob"], validate=True)
-            if payload["checksum"] != hashlib.sha256(blob).hexdigest():
-                raise ValueError("checksum mismatch")
-        except (KeyError, TypeError, ValueError):
-            self.snap_misses += 1
-            self._quarantine(path)
-            return None
-        self.snap_hits += 1
-        return blob
+        """The stored snapshot blob for ``key``, or None."""
+        return self._read(key, "snapshot", _decode_blob)
 
     def store_blob(self, key: str, blob: bytes) -> Path:
         """Persist a snapshot blob under ``key`` atomically."""
-        payload = {
-            "key": key,
-            "simulator_version": SIMULATOR_VERSION,
-            "checksum": hashlib.sha256(blob).hexdigest(),
-            "blob": base64.b64encode(blob).decode("ascii"),
-        }
-        return self._atomic_write(self._blob_path(key), payload, "blob")
+        return self._write(key, "snapshot", hashlib.sha256(blob).hexdigest(),
+                           "blob", base64.b64encode(blob).decode("ascii"))
 
-    def quarantine_blob(self, key: str) -> None:
-        """Move a structurally-invalid snapshot aside (checksum passed,
-        but the snapshot layer's validation rejected the contents)."""
-        path = self._blob_path(key)
+    def has_blob(self, key: str) -> bool:
+        return self._path(key, "snapshot").exists()
+
+    def quarantine(self, key: str, kind: str = "result") -> None:
+        """Move an entry aside that passed its checksum but that the
+        caller's own validation rejected."""
+        path = self._path(key, kind)
         if path.exists():
             self._quarantine(path)
 
     def stats(self) -> dict[str, int]:
-        return {
-            "disk_hits": self.hits,
-            "disk_misses": self.misses,
-            "disk_quarantined": self.quarantined,
-            "snap_hits": self.snap_hits,
-            "snap_misses": self.snap_misses,
-        }
+        return dict(self.counts)
 
 
-class SharedResultStore:
-    """Two-tier result store: bounded in-memory LRU over a shared DiskCache.
+class Store:
+    """Bounded, lock-guarded memory tier over an optional disk tier.
 
-    The cluster layer points every worker *and* the router at one shared
-    cache directory.  Workers populate it through the normal
-    :func:`repro.harness.runner.run_sim` store path; the router (and any
-    other reader) goes through this class, which keeps the hottest
-    ``capacity`` results in process memory so the steady-state cost of a
-    repeat request is a dict lookup, not a file parse.
+    ``kind`` selects the record kind: ``"result"`` values are
+    :class:`~repro.sim.SimulationResult`, ``"snapshot"`` values are
+    bytes.  The memory tier is an LRU bounded by ``max_entries`` and/or
+    ``max_bytes``; a value larger than ``max_bytes`` is never held in
+    memory.  Sizes (a blob's length, else the pickled length) are only
+    measured under a byte bound, since pickling a result costs about as
+    much as the rest of a memory-tier lookup.  All methods are
+    thread-safe.
 
-    The disk tier keeps all of :class:`DiskCache`'s guarantees — atomic
-    writes, per-entry checksums, quarantine-on-corruption — so a torn or
-    bit-rotted shared entry degrades to a recompute on whichever worker
-    owns the key, never to wrong data.  All methods are thread-safe: the
-    router reads from executor threads while its event loop routes.
+    Counters: ``hits`` (memory), ``disk_hits`` (promoted from disk),
+    ``misses`` (neither tier), ``stores`` / ``store_errors`` (disk
+    writes that succeeded / raised :class:`OSError`), ``evictions`` and
+    ``corrupt`` (entries the caller discarded as invalid).
     """
 
-    def __init__(self, root: str | Path | None = None, *,
-                 capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.disk = DiskCache(root)
-        self.capacity = capacity
-        self._lru: "OrderedDict[str, SimulationResult]" = OrderedDict()
+    def __init__(
+        self,
+        disk: DiskCache | None = None,
+        *,
+        kind: str = "result",
+        max_entries: int | None = None,
+        max_bytes: int | None = None,
+    ) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown record kind {kind!r}")
+        for name, bound in (("max_entries", max_entries),
+                            ("max_bytes", max_bytes)):
+            if bound is not None and bound < 1:
+                raise ValueError(f"{name} must be >= 1")
+        self.disk = disk
+        self.kind = kind
+        self.max_entries = max_entries
+        self.max_bytes = max_bytes
+        # DiskCache methods, looked up per call so that subclasses and
+        # wrappers installed on the class take effect.
+        self._load, self._store, self._has = (
+            ("load", "store", "has") if kind == "result"
+            else ("load_blob", "store_blob", "has_blob")
+        )
         self._lock = threading.Lock()
-        self.lru_hits = 0
-        self.shared_hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.store_errors = 0
-        self.evictions = 0
+        self.clear()
 
-    @property
-    def root(self) -> Path:
-        return self.disk.root
-
-    def _remember_locked(self, key: str, result: SimulationResult) -> None:
-        self._lru[key] = result
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-            self.evictions += 1
-
-    def load(self, key: str) -> SimulationResult | None:
-        """LRU first, then the shared disk tier; None on a full miss."""
+    def clear(self) -> None:
+        """Drop the memory tier and reset every counter."""
         with self._lock:
-            cached = self._lru.get(key)
-            if cached is not None:
-                self._lru.move_to_end(key)
-                self.lru_hits += 1
-                return cached
-        result = self.disk.load(key)
+            self._mem: OrderedDict[str, tuple[object, int]] = OrderedDict()
+            self._bytes = 0
+            self.hits = 0
+            self.disk_hits = 0
+            self.misses = 0
+            self.stores = 0
+            self.store_errors = 0
+            self.evictions = 0
+            self.corrupt = 0
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is in the memory tier (no disk probe)."""
+        return key in self._mem
+
+    def has(self, key: str) -> bool:
+        """Whether ``key`` is in either tier (no promotion, no counting)."""
+        if key in self._mem:
+            return True
+        return self.disk is not None and getattr(self.disk, self._has)(key)
+
+    def get(self, key: str):
+        """Memory tier first, then the disk tier; None on a full miss."""
+        return self.lookup(key)[0]
+
+    def lookup(self, key: str) -> tuple[object, str | None]:
+        """:meth:`get`, also naming the tier that served the value:
+        ``"memory"``, ``"disk"`` or None on a full miss."""
         with self._lock:
-            if result is None:
+            entry = self._mem.get(key)
+            if entry is not None:
+                self._mem.move_to_end(key)
+                self.hits += 1
+                return entry[0], "memory"
+        value = None
+        if self.disk is not None:
+            value = getattr(self.disk, self._load)(key)
+        with self._lock:
+            if value is None:
                 self.misses += 1
-                return None
-            self.shared_hits += 1
-            self._remember_locked(key, result)
-        return result
+                return None, None
+            self.disk_hits += 1
+            self._insert(key, value)
+        return value, "disk"
 
-    def store(self, key: str, result: SimulationResult) -> bool:
-        """Write through to the shared tier; False if the disk write failed.
+    def put(self, key: str, value, *, persist: bool = True) -> bool:
+        """Insert into memory and, with ``persist``, write through to disk.
 
-        A failed disk write still populates the LRU — the result is
-        correct, it just is not durable/shared, and the caller's
-        ``store_errors`` counter says so.
+        A failed disk write still keeps the value in memory — it is
+        correct, just not durable — and counts in ``store_errors``;
+        returns False in that case.  ``persist=False`` is for values some
+        other process already wrote to a shared disk tier.
         """
         ok = True
-        try:
-            self.disk.store(key, result)
-        except OSError:
-            ok = False
+        write = persist and self.disk is not None
+        if write:
+            try:
+                getattr(self.disk, self._store)(key, value)
+            except OSError:
+                ok = False
         with self._lock:
-            self._remember_locked(key, result)
-            if ok:
-                self.stores += 1
-            else:
-                self.store_errors += 1
+            self._insert(key, value)
+            if write:
+                if ok:
+                    self.stores += 1
+                else:
+                    self.store_errors += 1
         return ok
 
-    def remember(self, key: str, result: SimulationResult) -> None:
-        """LRU-only insert — for results some *other* process already
-        persisted to the shared tier (e.g. a worker's own store path),
-        where a second disk write would be pure redundancy."""
+    def discard(self, key: str, *, corrupt: bool = False) -> None:
+        """Drop ``key`` from memory; ``corrupt`` also quarantines its disk
+        entry and counts it."""
         with self._lock:
-            self._remember_locked(key, result)
+            entry = self._mem.pop(key, None)
+            if entry is not None:
+                self._bytes -= entry[1]
+            if corrupt:
+                self.corrupt += 1
+        if corrupt and self.disk is not None:
+            self.disk.quarantine(key, self.kind)
 
-    def contains(self, key: str) -> bool:
-        """Whether the key is available in either tier (no promotion)."""
-        with self._lock:
-            if key in self._lru:
-                return True
-        return self.disk.has(key)
+    def _insert(self, key: str, value) -> None:
+        size = 0
+        if self.max_bytes is not None:
+            size = (len(value) if isinstance(value, bytes)
+                    else len(pickle.dumps(value)))
+        old = self._mem.pop(key, None)
+        if old is not None:
+            self._bytes -= old[1]
+        if self.max_bytes is not None and size > self.max_bytes:
+            return
+        self._mem[key] = (value, size)
+        self._bytes += size
+        while len(self._mem) > 1 and (
+            (self.max_entries is not None
+             and len(self._mem) > self.max_entries)
+            or (self.max_bytes is not None and self._bytes > self.max_bytes)
+        ):
+            _, (_, evicted) = self._mem.popitem(last=False)
+            self._bytes -= evicted
+            self.evictions += 1
 
     def stats(self) -> dict:
         with self._lock:
             return {
-                "capacity": self.capacity,
-                "lru_size": len(self._lru),
-                "lru_hits": self.lru_hits,
-                "shared_hits": self.shared_hits,
+                "entries": len(self._mem),
+                "bytes": self._bytes,
+                "max_entries": self.max_entries,
+                "max_bytes": self.max_bytes,
+                "hits": self.hits,
+                "disk_hits": self.disk_hits,
                 "misses": self.misses,
                 "stores": self.stores,
                 "store_errors": self.store_errors,
                 "evictions": self.evictions,
-                "disk": self.disk.stats(),
+                "corrupt": self.corrupt,
             }

@@ -4,14 +4,15 @@ Several figures share (config, workload, policy) combinations — Fig. 2 is
 a subset of Fig. 15, Figs. 22/23/24 reuse the same OASIS/GRIT runs — so
 simulation results are memoized at two levels:
 
-* **in process** — a bounded LRU keyed by the full parameter tuple
-  (``SystemConfig`` is a frozen dataclass, so the whole configuration is
-  hashable).  The bound (default 256 results, override with
+one :class:`~repro.harness.diskcache.Store` keyed by each run's
+:func:`~repro.harness.diskcache.cache_key` digest, computed once per run:
+
+* **in process** — a bounded LRU (default 256 results, override with
   ``REPRO_RUNNER_CACHE_SIZE``) keeps long sweep sessions from holding
   every result ever computed.
-* **on disk** — optionally, a persistent content-addressed store (see
-  :mod:`repro.harness.diskcache`) shared across processes and sessions.
-  Enable with :func:`configure` or ``REPRO_DISK_CACHE=1``.
+* **on disk** — optionally, a persistent content-addressed tier shared
+  across processes and sessions.  Enable with :func:`configure` or
+  ``REPRO_DISK_CACHE=1``.
 
 Independent runs can also be computed in parallel across worker
 processes with :func:`run_sims_parallel`; :func:`speedup_table` uses it
@@ -31,14 +32,15 @@ from __future__ import annotations
 import os
 import time
 import traceback as _traceback
-from collections import OrderedDict, deque
+from collections import deque
+from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro import POLICY_FACTORIES, make_policy
 from repro.config import SystemConfig
-from repro.harness.diskcache import DiskCache, cache_key
+from repro.harness.diskcache import DISK_COUNTERS, DiskCache, Store, cache_key
 from repro.harness.report import geomean
 from repro.sim import SimulationResult, simulate
 from repro.sim.sweep import PhaseMemo
@@ -47,29 +49,19 @@ from repro.workloads import get_workload
 #: Default cap on in-process memoized results.
 DEFAULT_CACHE_SIZE = 256
 
-#: Built traces kept for reuse across a sweep's runs.  Sharing the trace
-#: object also shares the per-phase SoA replay arrays and prefix digests
-#: cached on it (see :mod:`repro.sim.sweep`), so every policy variant in
-#: a cohort skips both trace generation and array derivation.
-DEFAULT_TRACE_CACHE_SIZE = 8
-
 #: Default attempts per run in :func:`run_sims_parallel` (1 = no retry).
 DEFAULT_MAX_ATTEMPTS = 2
 
 #: Pool rebuilds tolerated before degrading to in-process execution.
 DEFAULT_POOL_FAILURE_LIMIT = 2
 
-_CACHE: OrderedDict[tuple, SimulationResult] = OrderedDict()
 _STATS = {
+    # Request slots served from / missing the memory tier (a disk hit
+    # counts as a miss: the run was not in memory).
     "hits": 0,
     "misses": 0,
-    "evictions": 0,
     "run_retries": 0,
     "pool_failures": 0,
-    # Result-store writes that failed with OSError (disk full, chaos
-    # injection): the result survives in memory and is recomputed by a
-    # later process instead of crashing this one.
-    "store_errors": 0,
     # Phase-memo counters merged back from worker processes; the serial
     # path's counters live on the in-process PhaseMemo itself, so
     # :func:`memo_stats` sums both (the sources are disjoint).
@@ -88,20 +80,6 @@ _MEMO_DELTA_KEYS = (
 )
 #: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
 _CHAOS = None
-_DISK: DiskCache | None = (
-    DiskCache() if os.environ.get("REPRO_DISK_CACHE", "").strip() not in ("", "0")
-    else None
-)
-_JOBS = 1
-_TRACES: OrderedDict[tuple, object] = OrderedDict()
-_MEMO: PhaseMemo | None = None
-_MEMO_DIR: str | None = os.environ.get("REPRO_MEMO_DIR", "").strip() or None
-_MEMO_ENABLED: bool = _MEMO_DIR is not None or (
-    os.environ.get("REPRO_MEMO", "").strip() not in ("", "0")
-)
-#: Observability summary of the most recent :func:`run_sims_parallel`
-#: sweep (see :func:`last_sweep_summary`).
-_LAST_SWEEP: dict | None = None
 
 
 def _cache_capacity() -> int:
@@ -112,6 +90,31 @@ def _cache_capacity() -> int:
         except ValueError:
             pass
     return DEFAULT_CACHE_SIZE
+
+
+def _results() -> Store:
+    """The results store, its memory bound refreshed from
+    ``REPRO_RUNNER_CACHE_SIZE`` so the env knob applies live."""
+    _RESULTS.max_entries = _cache_capacity()
+    return _RESULTS
+
+
+#: The results store; its disk tier is the persistent result cache.
+_RESULTS = Store(
+    DiskCache()
+    if os.environ.get("REPRO_DISK_CACHE", "").strip() not in ("", "0")
+    else None,
+    max_entries=_cache_capacity(),
+)
+_JOBS = 1
+_MEMO: PhaseMemo | None = None
+_MEMO_DIR: str | None = os.environ.get("REPRO_MEMO_DIR", "").strip() or None
+_MEMO_ENABLED: bool = _MEMO_DIR is not None or (
+    os.environ.get("REPRO_MEMO", "").strip() not in ("", "0")
+)
+#: Observability summary of the most recent :func:`run_sims_parallel`
+#: sweep (see :func:`last_sweep_summary`).
+_LAST_SWEEP: dict | None = None
 
 
 def configure(
@@ -138,16 +141,16 @@ def configure(
             store's directory when the disk cache is on, else stay
             purely in-memory.
     """
-    global _DISK, _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
+    global _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
     if jobs is not None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         _JOBS = jobs
     if cache_dir is not None:
-        _DISK = DiskCache(cache_dir)
+        _RESULTS.disk = DiskCache(cache_dir)
         _MEMO = None  # a shared-disk memo tier must follow the move
     elif disk_cache is not None:
-        _DISK = DiskCache() if disk_cache else None
+        _RESULTS.disk = DiskCache() if disk_cache else None
         _MEMO = None
     if memo_dir is not None:
         _MEMO_DIR = memo_dir or None
@@ -160,9 +163,28 @@ def configure(
             _MEMO = None
 
 
+@contextmanager
+def configured(**settings):
+    """Apply :func:`configure` ``settings`` for a block, then drop the
+    block's in-process results and restore the previous settings."""
+    global _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
+    saved = (_JOBS, _RESULTS.disk, _MEMO, _MEMO_DIR, _MEMO_ENABLED)
+    configure(**settings)
+    try:
+        yield
+    finally:
+        clear_cache()
+        _JOBS, _RESULTS.disk, _MEMO, _MEMO_DIR, _MEMO_ENABLED = saved
+
+
 def disk_cache() -> DiskCache | None:
     """The runner's persistent result store, or None when disabled."""
-    return _DISK
+    return _RESULTS.disk
+
+
+def result_store() -> Store:
+    """The runner's two-tier results store."""
+    return _results()
 
 
 def _memo_store() -> PhaseMemo | None:
@@ -171,36 +193,17 @@ def _memo_store() -> PhaseMemo | None:
     if not _MEMO_ENABLED:
         return None
     if _MEMO is None:
-        disk = DiskCache(_MEMO_DIR) if _MEMO_DIR else _DISK
+        disk = DiskCache(_MEMO_DIR) if _MEMO_DIR else _RESULTS.disk
         _MEMO = PhaseMemo(disk=disk)
     return _MEMO
 
 
-def _get_trace(config, app, footprint_mb, seed):
-    """Build-or-reuse one workload trace (shared across a cohort)."""
-    key = (config, app, footprint_mb, seed)
-    trace = _TRACES.get(key)
-    if trace is not None:
-        _TRACES.move_to_end(key)
-        return trace
-    trace = get_workload(app, config, footprint_mb=footprint_mb, seed=seed)
-    _TRACES[key] = trace
-    while len(_TRACES) > DEFAULT_TRACE_CACHE_SIZE:
-        _TRACES.popitem(last=False)
-    return trace
-
-
 def clear_cache() -> None:
     """Drop all in-process memoized results and reset counters."""
-    _CACHE.clear()
-    _TRACES.clear()
+    _RESULTS.clear()
     _STATS.update({key: 0 for key in _STATS})
-    if _DISK is not None:
-        _DISK.hits = 0
-        _DISK.misses = 0
-        _DISK.quarantined = 0
-        _DISK.snap_hits = 0
-        _DISK.snap_misses = 0
+    if _RESULTS.disk is not None:
+        _RESULTS.disk.reset_stats()
     if _MEMO is not None:
         _MEMO.clear()
 
@@ -243,19 +246,20 @@ def _spec_label(spec: dict) -> str:
 
 def cache_stats() -> dict[str, int]:
     """Hit/miss/size counters for both cache levels."""
-    stats = {
-        "size": len(_CACHE),
+    store = _RESULTS.stats()
+    disk = _RESULTS.disk
+    return {
+        "size": store["entries"],
         "capacity": _cache_capacity(),
+        "evictions": store["evictions"],
+        # Result writes that failed with OSError (disk full, chaos
+        # injection): the result survives in memory and is recomputed
+        # by a later process instead of crashing this one.
+        "store_errors": store["store_errors"],
         **_STATS,
-        "disk_hits": 0,
-        "disk_misses": 0,
-        "disk_quarantined": 0,
-        "snap_hits": 0,
-        "snap_misses": 0,
+        **(disk.stats() if disk is not None
+           else dict.fromkeys(DISK_COUNTERS, 0)),
     }
-    if _DISK is not None:
-        stats.update(_DISK.stats())
-    return stats
 
 
 def memo_stats() -> dict:
@@ -293,15 +297,6 @@ def publish_memo_metrics(registry) -> None:
         registry.set_gauge(f"memo.{name}", float(value))
 
 
-def _remember(key: tuple, result: SimulationResult) -> None:
-    _CACHE[key] = result
-    _CACHE.move_to_end(key)
-    capacity = _cache_capacity()
-    while len(_CACHE) > capacity:
-        _CACHE.popitem(last=False)
-        _STATS["evictions"] += 1
-
-
 def run_sim(
     config: SystemConfig,
     app: str,
@@ -312,52 +307,11 @@ def run_sim(
     **policy_kwargs,
 ) -> SimulationResult:
     """Simulate one (config, app, policy) combination, memoized."""
-    if policy not in POLICY_FACTORIES:
-        known = ", ".join(sorted(POLICY_FACTORIES))
-        raise ValueError(f"unknown policy {policy!r}; known: {known}")
-    key = (
-        config,
-        app,
-        policy,
-        footprint_mb,
-        seed,
-        tuple(sorted(policy_kwargs.items())),
-    )
-    cached = _CACHE.get(key)
-    if cached is not None:
-        _CACHE.move_to_end(key)
-        _STATS["hits"] += 1
-        return cached
-    _STATS["misses"] += 1
-    disk = _DISK
-    if disk is not None:
-        digest = cache_key(config, app, policy, footprint_mb, seed, policy_kwargs)
-        stored = disk.load(digest)
-        if stored is not None:
-            _remember(key, stored)
-            return stored
-    trace = _get_trace(config, app, footprint_mb, seed)
-    memo = _memo_store()
-    session = None
-    if memo is not None:
-        session = memo.session(
-            config, app, policy,
-            footprint_mb=footprint_mb, seed=seed,
-            policy_kwargs=policy_kwargs,
-        )
-    result = simulate(
-        config, trace, make_policy(policy, **policy_kwargs), memo=session
-    )
-    if disk is not None:
-        try:
-            disk.store(digest, result)
-        except OSError:
-            # A result that cannot be persisted (disk full, injected
-            # fault) is still a valid result; a later process simply
-            # recomputes it.
-            _STATS["store_errors"] += 1
-    _remember(key, result)
-    return result
+    return _run(_normalize_request({
+        "config": config, "app": app, "policy": policy,
+        "footprint_mb": footprint_mb, "seed": seed,
+        "policy_kwargs": policy_kwargs,
+    }))
 
 
 # -- parallel execution ----------------------------------------------------
@@ -407,18 +361,13 @@ def _normalize_request(request) -> dict:
     spec.setdefault("footprint_mb", None)
     spec.setdefault("seed", 0)
     spec.setdefault("policy_kwargs", {})
+    if "key" not in spec:
+        # The run identity everywhere below, computed once per spec.
+        spec["key"] = cache_key(
+            spec["config"], spec["app"], spec["policy"],
+            spec["footprint_mb"], spec["seed"], spec["policy_kwargs"],
+        )
     return spec
-
-
-def _spec_key(spec: dict) -> tuple:
-    return (
-        spec["config"],
-        spec["app"],
-        spec["policy"],
-        spec["footprint_mb"],
-        spec["seed"],
-        tuple(sorted(spec["policy_kwargs"].items())),
-    )
 
 
 def _run_spec(spec: dict) -> SimulationResult:
@@ -426,14 +375,40 @@ def _run_spec(spec: dict) -> SimulationResult:
         # May raise a retryable ChaosWorkerKill before the run counts a
         # cache miss, mirroring a worker that dies pre-compute.
         _CHAOS.run_fault(spec["app"], spec["policy"])
-    return run_sim(
-        spec["config"],
-        spec["app"],
-        spec["policy"],
-        footprint_mb=spec["footprint_mb"],
-        seed=spec["seed"],
-        **spec["policy_kwargs"],
+    return _run(spec)
+
+
+def _run(spec: dict) -> SimulationResult:
+    """Serve one normalized spec from the store, or simulate and store it."""
+    config, app, policy = spec["config"], spec["app"], spec["policy"]
+    if policy not in POLICY_FACTORIES:
+        known = ", ".join(sorted(POLICY_FACTORIES))
+        raise ValueError(f"unknown policy {policy!r}; known: {known}")
+    key = spec["key"]
+    result, tier = _results().lookup(key)
+    _STATS["hits" if tier == "memory" else "misses"] += 1
+    if result is not None:
+        return result
+    trace = get_workload(
+        app, config, footprint_mb=spec["footprint_mb"], seed=spec["seed"]
     )
+    memo = _memo_store()
+    session = None
+    if memo is not None:
+        session = memo.session(
+            config, app, policy,
+            footprint_mb=spec["footprint_mb"], seed=spec["seed"],
+            policy_kwargs=spec["policy_kwargs"], key=key,
+        )
+    result = simulate(
+        config, trace, make_policy(policy, **spec["policy_kwargs"]),
+        memo=session,
+    )
+    # A failed disk write (disk full, injected fault) keeps the valid
+    # result in memory; the store counts it and a later process
+    # recomputes it.
+    _RESULTS.put(key, result)
+    return result
 
 
 def _runner_config() -> dict:
@@ -444,10 +419,11 @@ def _runner_config() -> dict:
     call) starts from module defaults — so the full configuration rides
     in every payload.
     """
+    disk = _RESULTS.disk
     return {
         "jobs": _JOBS,
-        "disk_enabled": _DISK is not None,
-        "disk_root": str(_DISK.root) if _DISK is not None else None,
+        "disk_enabled": disk is not None,
+        "disk_root": str(disk.root) if disk is not None else None,
         "cache_size": _cache_capacity(),
         "memo_enabled": _MEMO_ENABLED,
         "memo_dir": _MEMO_DIR,
@@ -693,7 +669,6 @@ def _drain_pool(
                         continue
                     _merge_memo_delta(memo_delta)
                     fresh[key] = result
-                    _remember(key, result)
                     if timings is not None:
                         timings[key] = time.monotonic() - started
                 now = time.monotonic()
@@ -800,7 +775,7 @@ def run_sims_parallel(
     sweep_started = time.monotonic()
     stats_before = dict(_STATS)
     memo_before = memo_stats()
-    timings: dict[tuple, float] = {}
+    timings: dict[str, float] = {}
     specs = [_normalize_request(r) for r in requests]
     n_jobs = jobs if jobs is not None else _JOBS
     if n_jobs < 1:
@@ -825,15 +800,15 @@ def run_sims_parallel(
         raise ValueError("max_attempts must be >= 1")
 
     # Only ship cache misses to the pool, and each distinct run once.
-    pending: dict[tuple, dict] = {}
+    pending: dict[str, dict] = {}
     for spec in specs:
-        key = _spec_key(spec)
-        if key not in _CACHE and key not in pending:
+        key = spec["key"]
+        if key not in _RESULTS and key not in pending:
             pending[key] = spec
 
-    fresh: dict[tuple, SimulationResult] = {}
-    precounted: set[tuple] = set()
-    failures: dict[tuple, RunFailure] = {}
+    fresh: dict[str, SimulationResult] = {}
+    precounted: set[str] = set()
+    failures: dict[str, RunFailure] = {}
     if pending and n_jobs > 1:
         _drain_pool(
             pending,
@@ -853,9 +828,9 @@ def run_sims_parallel(
     # counted as a miss at its first request slot; duplicates and
     # already-cached specs go through run_sim (a hit).
     out: list = []
-    counted: set[tuple] = set()
+    counted: set[str] = set()
     for spec in specs:
-        key = _spec_key(spec)
+        key = spec["key"]
         if key in failures:
             out.append(failures[key])
             continue
@@ -863,8 +838,8 @@ def run_sims_parallel(
             counted.add(key)
             if key not in precounted:
                 _STATS["misses"] += 1
-            if key in _CACHE:
-                _CACHE.move_to_end(key)
+            # Workers already persisted pool results to the disk tier.
+            _results().put(key, fresh[key], persist=False)
             out.append(fresh[key])
             continue
         started = time.monotonic()
@@ -893,10 +868,10 @@ def run_sims_parallel(
     # Sweep-level observability summary: per-run metric snapshots are
     # merged into one counter view, and cache/retry accounting is the
     # delta over this sweep only (not process lifetime).
-    merged: dict[tuple, dict[str, float]] = {}
+    merged: dict[str, dict[str, float]] = {}
     counters: dict[str, float] = {}
     for spec, result in zip(specs, out):
-        key = _spec_key(spec)
+        key = spec["key"]
         if isinstance(result, SimulationResult) and key not in merged:
             snap_counters = result.metrics_snapshot().counters
             merged[key] = snap_counters
@@ -930,7 +905,7 @@ def run_sims_parallel(
             "per_run": {
                 _spec_label(spec): timings[key]
                 for spec in specs
-                if (key := _spec_key(spec)) in timings
+                if (key := spec["key"]) in timings
             },
         },
         "counters": {name: counters[name] for name in sorted(counters)},

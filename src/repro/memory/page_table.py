@@ -349,7 +349,3 @@ class PageTables:
                     assert n_holders <= 1, (
                         f"page {page}: writable while duplicated"
                     )
-            # A local mapping requires a local copy.
-            local_mapped = mapped & copies
-            # (Remote mappings are mapped bits not in copies.)
-            del local_mapped

@@ -157,6 +157,11 @@ class JobSpec:
             return base
         return baseline_config(**self.config_kwargs)
 
+    def key(self, config: SystemConfig) -> str:
+        """This run's identity (:func:`cache_key`) under ``config``."""
+        return cache_key(config, self.app, self.policy, self.footprint_mb,
+                         self.seed, self.policy_kwargs)
+
     def to_dict(self) -> dict:
         return {
             "app": self.app,
@@ -494,7 +499,8 @@ class SimulationService:
         * last record ``failed`` — re-materialized in history with its
           stored diagnosis (the failure was served before the crash);
         * any other state (``accepted``/``dispatched``/``done``) — the
-          result cache is consulted by ``cache_key`` first: a hit
+          result cache is consulted first, under the spec's
+          ``cache_key`` computed afresh (never the journaled one): a hit
           resolves the job immediately with **zero** re-simulation
           (``recovered_cached``), a miss re-enqueues it on its original
           lane (``recovered_requeued``).  Jobs that were ``done`` but
@@ -522,9 +528,11 @@ class SimulationService:
             data = state["data"]
             try:
                 spec = JobSpec.from_dict(data["spec"])
-                key = data["key"]
                 lane = data.get("lane", DEFAULT_LANE)
                 config = spec.resolve_config(self.config)
+                # Keyed afresh, not from the journal: the key digests the
+                # simulator source, which may have changed since the ack.
+                key = spec.key(config)
             except (KeyError, TypeError, ValueError):
                 # A record that checksummed but no longer parses as a
                 # spec (schema drift): count it as torn, don't crash
@@ -658,10 +666,7 @@ class SimulationService:
         if spec.policy not in POLICY_FACTORIES:
             raise ValueError(f"unknown policy {spec.policy!r}")
         config = spec.resolve_config(self.config)
-        key = cache_key(
-            config, spec.app, spec.policy,
-            spec.footprint_mb, spec.seed, spec.policy_kwargs,
-        )
+        key = spec.key(config)
         self.metrics.inc("serve.submitted")
 
         shared = self._inflight.get(key)
@@ -779,6 +784,7 @@ class SimulationService:
                     "footprint_mb": job.spec.footprint_mb,
                     "seed": job.spec.seed,
                     "policy_kwargs": dict(job.spec.policy_kwargs),
+                    "key": job.key,
                 })
                 for job in batch
             ]

@@ -355,13 +355,13 @@ class MemoSession:
         for boundary in sorted(self._bounds, reverse=True):
             n_done = boundary + 1
             key = self._key(n_done)
-            blob = self.memo.get(key)
+            blob = self.memo.store.get(key)
             if blob is None:
                 continue
             try:
                 payload = restore(machine, blob, expect_index=boundary)
             except SnapshotError:
-                self.memo.discard(key, corrupt=True)
+                self.memo.store.discard(key, corrupt=True)
                 continue
             self.chain = list(payload["chain"])
             self.resumed_at = n_done
@@ -377,7 +377,7 @@ class MemoSession:
         self.chain.append(decision_digest(machine.page_tables))
         if index in self._bounds:
             key = self._key(index + 1)
-            if not self.memo.contains(key):
+            if not self.memo.store.has(key):
                 self.memo.put(
                     key, capture(machine, index, now, phases, self.chain)
                 )

@@ -5,8 +5,8 @@ benchmark) executes many runs that differ only in policy over the same
 (config, app, footprint, seed) **cohort**.  Three kinds of work are
 shared across a cohort instead of being paid per run:
 
-* the **trace** itself — generated once and reused (the runner keeps a
-  small LRU of built traces), which also shares
+* the **trace** itself — generated once and reused (the workload
+  registry memoizes built traces), which also shares
 * the **per-phase SoA replay arrays** — the vectorized replayer's
   derived arrays (int64 gpu lane, page offsets, write mask, gpu bit)
   are computed once per phase and cached *on the phase*
@@ -20,12 +20,13 @@ match the cohort's reference chain and fork off at the first divergent
 decision; :class:`SweepLanes` detects divergence by digest comparison
 and counts the forks that ``last_sweep_summary`` reports.
 
-:class:`PhaseMemo` is the snapshot store: a bounded in-memory tier
-(``REPRO_MEMO_MEM_MB``, default 256) over an optional
-:class:`~repro.harness.diskcache.DiskCache` blob tier that shares the
-result cache's checksum/quarantine discipline.  All counters (hits,
-misses, stores, snapshot bytes, resumed phases, corruption, forks) feed
-``repro.harness.runner`` and the sweep summary.
+:class:`PhaseMemo` keeps the snapshots in a
+:class:`~repro.harness.diskcache.Store` of the snapshot kind: a
+byte-bounded memory tier (``REPRO_MEMO_MEM_MB``, default 256) over an
+optional disk tier with the result cache's checksum/quarantine
+discipline.  All counters (hits, misses, stores, snapshot bytes,
+resumed phases, corruption, forks) feed ``repro.harness.runner`` and
+the sweep summary.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import OrderedDict
 
 from repro.sim.snapshot import MemoSession
 
@@ -131,21 +131,35 @@ class SweepLanes:
 
 
 class PhaseMemo:
-    """Two-tier content-addressed store of phase-boundary snapshots."""
+    """Phase-boundary snapshots in a two-tier store, plus their lanes."""
 
     def __init__(self, disk=None, max_bytes: int | None = None) -> None:
-        self.disk = disk
-        self.max_bytes = _mem_budget_bytes(max_bytes)
-        self._mem: OrderedDict[str, bytes] = OrderedDict()
-        self._mem_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+        from repro.harness.diskcache import Store
+
+        #: Snapshot blobs by phase key; sessions read and discard here.
+        self.store = Store(
+            disk, kind="snapshot", max_bytes=_mem_budget_bytes(max_bytes)
+        )
+        #: Runs that resumed from a snapshot / replayed cold, and
+        #: snapshots taken (reported as ``hits``/``misses``/``stores``;
+        #: the store's own counters of those names count blob lookups
+        #: and disk writes).
+        self.resumed_runs = 0
+        self.cold_runs = 0
+        self.snapshots_taken = 0
         self.snapshot_bytes = 0
         self.resumed_phases = 0
-        self.corrupt = 0
-        self.io_errors = 0
         self.lanes = SweepLanes()
+
+    @property
+    def corrupt(self) -> int:
+        """Snapshots that decoded but failed validation (quarantined)."""
+        return self.store.corrupt
+
+    @property
+    def io_errors(self) -> int:
+        """Snapshot writes the disk tier refused (kept in memory)."""
+        return self.store.store_errors
 
     # -- sessions ----------------------------------------------------------
 
@@ -158,13 +172,15 @@ class PhaseMemo:
         footprint_mb: float | None = None,
         seed: int = 0,
         policy_kwargs: dict | None = None,
+        key: str | None = None,
     ) -> MemoSession:
         """Bind one run's full identity to this store.
 
-        ``base_key`` reuses the result cache's content hash (simulator
+        The base key is the run's result-cache ``key`` (simulator
         version, replay-path flag, config, app, footprint, seed, policy
-        + canonical kwargs); the cohort key drops the policy, grouping
-        all variants over the same trace into one decision lane.
+        + canonical kwargs), computed here unless the caller holds it;
+        the cohort key drops the policy, grouping all variants over the
+        same trace into one decision lane.
         """
         import dataclasses
 
@@ -172,7 +188,8 @@ class PhaseMemo:
         from repro.sim.fastpath import force_slow_path
 
         kwargs = dict(policy_kwargs or {})
-        base = cache_key(config, app, policy, footprint_mb, seed, kwargs)
+        if key is None:
+            key = cache_key(config, app, policy, footprint_mb, seed, kwargs)
         cohort_blob = json.dumps(
             {
                 "config": dataclasses.asdict(config),
@@ -188,102 +205,47 @@ class PhaseMemo:
         label = policy
         if kwargs:
             label += json.dumps(_canonical(kwargs), sort_keys=True)
-        return MemoSession(self, base, cohort, label)
-
-    # -- the two-tier store ------------------------------------------------
-
-    def get(self, key: str) -> bytes | None:
-        blob = self._mem.get(key)
-        if blob is not None:
-            self._mem.move_to_end(key)
-            return blob
-        if self.disk is not None:
-            blob = self.disk.load_blob(key)
-            if blob is not None:
-                self._mem_put(key, blob)
-                return blob
-        return None
-
-    def contains(self, key: str) -> bool:
-        if key in self._mem:
-            return True
-        return self.disk is not None and self.disk.has_blob(key)
+        return MemoSession(self, key, cohort, label)
 
     def put(self, key: str, blob: bytes) -> None:
-        if self.contains(key):
-            return
-        self.stores += 1
+        """Store one new snapshot.  A blob tier that cannot accept writes
+        (disk full, permission, injected fault) must not kill a
+        simulation mid-run: the snapshot stays in the memory tier and the
+        next process pays a cold replay instead."""
+        self.snapshots_taken += 1
         self.snapshot_bytes += len(blob)
-        self._mem_put(key, blob)
-        if self.disk is not None:
-            try:
-                self.disk.store_blob(key, blob)
-            except OSError:
-                # A blob tier that cannot accept writes (disk full,
-                # permission, injected fault) must not kill a simulation
-                # mid-run: the snapshot stays in the memory tier and the
-                # next process pays a cold replay instead.
-                self.io_errors += 1
-
-    def _mem_put(self, key: str, blob: bytes) -> None:
-        if len(blob) > self.max_bytes:
-            return
-        old = self._mem.pop(key, None)
-        if old is not None:
-            self._mem_bytes -= len(old)
-        self._mem[key] = blob
-        self._mem_bytes += len(blob)
-        while self._mem_bytes > self.max_bytes and len(self._mem) > 1:
-            _, evicted = self._mem.popitem(last=False)
-            self._mem_bytes -= len(evicted)
-
-    def discard(self, key: str, corrupt: bool = False) -> None:
-        old = self._mem.pop(key, None)
-        if old is not None:
-            self._mem_bytes -= len(old)
-        if corrupt:
-            self.corrupt += 1
-            if self.disk is not None:
-                self.disk.quarantine_blob(key)
+        self.store.put(key, blob)
 
     # -- accounting --------------------------------------------------------
 
     def note_hit(self, resumed_phases: int) -> None:
-        self.hits += 1
+        self.resumed_runs += 1
         self.resumed_phases += resumed_phases
 
     def note_miss(self) -> None:
-        self.misses += 1
+        self.cold_runs += 1
 
     def stats(self) -> dict:
+        store = self.store.stats()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
+            "hits": self.resumed_runs,
+            "misses": self.cold_runs,
+            "stores": self.snapshots_taken,
             "snapshot_bytes": self.snapshot_bytes,
             "resumed_phases": self.resumed_phases,
-            "corrupt": self.corrupt,
-            "io_errors": self.io_errors,
+            "corrupt": store["corrupt"],
+            "io_errors": store["store_errors"],
             "prefix_forks": self.lanes.forks,
-            "mem_entries": len(self._mem),
-            "mem_bytes": self._mem_bytes,
+            "mem_entries": store["entries"],
+            "mem_bytes": store["bytes"],
         }
 
-    def clear(self, counters_only: bool = False) -> None:
-        """Reset counters (and, by default, drop the in-memory tier)."""
-        if not counters_only:
-            self._mem.clear()
-            self._mem_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
+    def clear(self) -> None:
+        """Reset counters and drop the in-memory tier."""
+        self.store.clear()
+        self.resumed_runs = 0
+        self.cold_runs = 0
+        self.snapshots_taken = 0
         self.snapshot_bytes = 0
         self.resumed_phases = 0
-        self.corrupt = 0
-        self.io_errors = 0
         self.lanes.clear()
-
-
-def sweep_report(memo: PhaseMemo) -> dict:
-    """One JSON-serializable view of a memoized sweep's sharing."""
-    return {"memo": memo.stats(), "lanes": memo.lanes.report()}

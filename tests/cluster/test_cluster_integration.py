@@ -20,7 +20,7 @@ import pytest
 from repro import baseline_config
 from repro.cluster import LocalCluster
 from repro.harness import run_sim
-from repro.harness.diskcache import SharedResultStore, cache_key
+from repro.harness.diskcache import DiskCache, cache_key
 from repro.serve.client import ServeClient
 
 
@@ -128,7 +128,7 @@ def test_worker_kill_mid_burst_loses_no_acked_job(cluster):
         assert job["status"] in ("queued", "running", "done")
     cluster.kill_worker(victim)
 
-    store = SharedResultStore(cluster.cache_dir)
+    store = DiskCache(cluster.cache_dir)
     deadline = time.monotonic() + 60
     missing = set(footprints)
     while missing and time.monotonic() < deadline:

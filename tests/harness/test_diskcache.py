@@ -1,13 +1,16 @@
 """Persistent result store + parallel runner tests."""
 
 import json
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from repro import baseline_config
 from repro.harness import cache_stats, configure, run_sim, run_sims_parallel
 from repro.harness.diskcache import DiskCache, cache_key
-from repro.harness.runner import _CACHE, clear_cache
+from repro.harness.runner import clear_cache, result_store
 from repro.sim.results import SimulationResult
 
 
@@ -191,6 +194,51 @@ class TestCacheKeyCanonicalization:
         assert cache.stats()["disk_hits"] == 1
 
 
+class TestSimulatorVersion:
+    def test_one_changed_source_byte_changes_the_key(
+        self, config, tmp_path, monkeypatch
+    ):
+        from repro.harness import diskcache
+
+        copy = tmp_path / "repro"
+        shutil.copytree(
+            diskcache._PACKAGE_ROOT, copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        real = cache_key(config, "mm", "oasis", 4.0, 0, {})
+        monkeypatch.setattr(diskcache, "_PACKAGE_ROOT", copy)
+        diskcache.simulator_version.cache_clear()
+        try:
+            # The digest covers the package source by relative path: an
+            # unmodified copy keys identically.
+            assert cache_key(config, "mm", "oasis", 4.0, 0, {}) == real
+            keys = {real}
+            # The simulator core, and the policy registry outside it.
+            for target in (copy / "sim" / "machine.py",
+                           copy / "__init__.py"):
+                data = bytearray(target.read_bytes())
+                data[len(data) // 2] ^= 1
+                target.write_bytes(bytes(data))
+                diskcache.simulator_version.cache_clear()
+                keys.add(cache_key(config, "mm", "oasis", 4.0, 0, {}))
+            assert len(keys) == 3
+        finally:
+            diskcache.simulator_version.cache_clear()
+
+    def test_computed_on_first_key_not_at_import(self):
+        code = (
+            "import repro.harness, repro.cluster, repro.serve\n"
+            "from repro.harness.diskcache import simulator_version\n"
+            "assert simulator_version.cache_info().currsize == 0\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _in_memory(config, app):
+    """Whether the runner's memory tier holds ``app``'s SMALL on_touch run."""
+    return cache_key(config, app, "on_touch", 4.0, 0, {}) in result_store()
+
+
 class TestBoundedMemoryCache:
     def test_lru_cap_evicts_oldest(self, config, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
@@ -200,8 +248,20 @@ class TestBoundedMemoryCache:
         assert stats["size"] == 2
         assert stats["capacity"] == 2
         assert stats["evictions"] == 1
-        keys = list(_CACHE)
-        assert [k[1] for k in keys] == ["st", "i2c"]
+        assert [_in_memory(config, app) for app in ("mm", "st", "i2c")] == [
+            False, True, True,
+        ]
+
+    def test_pool_results_respect_the_cap(self, config, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
+        results = run_sims_parallel(
+            [(config, app, "on_touch", SMALL) for app in ("mm", "st", "i2c")],
+            jobs=2,
+        )
+        assert all(isinstance(r, SimulationResult) for r in results)
+        stats = cache_stats()
+        assert stats["size"] == 2
+        assert stats["evictions"] == 1
 
     def test_hit_refreshes_recency(self, config, monkeypatch):
         monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
@@ -209,7 +269,9 @@ class TestBoundedMemoryCache:
         run_sim(config, "st", "on_touch", **SMALL)
         run_sim(config, "mm", "on_touch", **SMALL)  # refresh mm
         run_sim(config, "i2c", "on_touch", **SMALL)  # evicts st
-        assert [k[1] for k in _CACHE] == ["mm", "i2c"]
+        assert [_in_memory(config, app) for app in ("mm", "st", "i2c")] == [
+            True, False, True,
+        ]
 
     def test_cache_stats_counts(self, config):
         run_sim(config, "mm", "on_touch", **SMALL)

@@ -3,8 +3,13 @@
 import pytest
 
 from repro import baseline_config
-from repro.harness import clear_cache, run_sim, speedup_table
-from repro.harness.runner import _CACHE
+from repro.harness import (
+    cache_stats,
+    clear_cache,
+    run_sim,
+    run_sims_parallel,
+    speedup_table,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +27,7 @@ class TestRunSim:
         a = run_sim(config, "mm", "on_touch", **SMALL)
         b = run_sim(config, "mm", "on_touch", **SMALL)
         assert a is b
-        assert len(_CACHE) == 1
+        assert cache_stats()["size"] == 1
 
     def test_distinct_configs_not_shared(self, config):
         a = run_sim(config, "mm", "on_touch", **SMALL)
@@ -33,6 +38,26 @@ class TestRunSim:
     def test_unknown_policy_rejected(self, config):
         with pytest.raises(ValueError):
             run_sim(config, "mm", "bogus")
+
+    def test_slow_path_is_not_served_from_fast_path_memory(
+        self, config, monkeypatch
+    ):
+        fast = run_sim(config, "mm", "on_touch", **SMALL)
+        monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
+        slow = run_sim(config, "mm", "on_touch", **SMALL)
+        assert slow is not fast
+        stats = cache_stats()
+        assert stats["hits"] == 0 and stats["misses"] == 2
+
+    def test_parallel_result_hits_memory_with_reordered_kwargs(self, config):
+        extras = {"footprint_mb": 4.0, "policy_kwargs": {
+            "faults_per_decision": 2, "neighbor_window": 0,
+        }}
+        (swept,) = run_sims_parallel([(config, "mm", "grit", extras)], jobs=1)
+        again = run_sim(config, "mm", "grit", neighbor_window=0,
+                        faults_per_decision=2, **SMALL)
+        assert again is swept
+        assert cache_stats()["hits"] == 1
 
     def test_policy_kwargs_in_key(self, config):
         a = run_sim(config, "mm", "grit", **SMALL)

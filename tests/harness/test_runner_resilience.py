@@ -21,8 +21,8 @@ from repro.harness.runner import (
     DEFAULT_RETRY_BACKOFF_MAX_S,
     _apply_runner_config,
     _backoff_delay,
+    _normalize_request,
     _runner_config,
-    _spec_key,
 )
 from repro.sim.results import SimulationResult
 
@@ -302,7 +302,7 @@ class TestSerialFailureIsolation:
         a = {"config": config, "app": "mm", "policy": "grit",
              "footprint_mb": 4.0, "seed": 0, "policy_kwargs": {}}
         b = dict(a, policy_kwargs={"neighbor_window": 0})
-        assert _spec_key(a) != _spec_key(b)
+        assert _normalize_request(a)["key"] != _normalize_request(b)["key"]
 
 
 class TestSweepSummary:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.chaos import ChaosInjector, ChaosPlan, IOFault
 from repro.harness import cache_stats, configure
+from repro.harness.diskcache import DiskCache
 from repro.serve import AdmissionError, JobFailed, SimulationService
 from repro.sim import SimulationResult
 
@@ -92,6 +93,41 @@ class TestRecovery:
         # Zero re-simulation: the recovered result came from the disk
         # cache, not a fresh run.
         assert cache_stats()["misses"] == 0
+
+    def test_requeued_job_is_stored_under_the_current_key(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness import diskcache
+
+        journal_dir = str(tmp_path / "journal")
+        configure(jobs=1, cache_dir=str(tmp_path / "cache"))
+
+        async def crash():
+            service = SimulationService(jobs=1, journal_dir=journal_dir)
+            await service.start(dispatch=False)  # accepted, never run
+            job = await service.submit(dict(SMALL))
+            await service.abandon()
+            return job.id, job.key, job.config
+
+        async def recover():
+            service = SimulationService(jobs=1, journal_dir=journal_dir)
+            await service.start()
+            job = service.job(job_id)
+            await job.wait()
+            await service.stop()
+            return job.key
+
+        job_id, stale_key, config = run(crash())
+        # The simulator source changes between the crash and the restart.
+        monkeypatch.setattr(diskcache, "simulator_version", lambda: "edited")
+        current_key = diskcache.cache_key(
+            config, SMALL["app"], SMALL["policy"], SMALL["footprint_mb"], 0, {}
+        )
+        assert current_key != stale_key
+        assert run(recover()) == current_key
+        disk = DiskCache(tmp_path / "cache")
+        assert disk.has(current_key)
+        assert not disk.has(stale_key)
 
     def test_served_failure_is_rematerialized_not_retried(self, tmp_path):
         journal_dir = str(tmp_path / "journal")

@@ -66,8 +66,10 @@ def test_snapshot_round_trip_matches_golden(
     warm = _run(config, trace, app, policy, memo)
     multi_phase = len(trace.phases) >= 2
     if multi_phase:
-        assert memo.hits == 1, "warm run never resumed from a snapshot"
-        assert memo.stores > 0
+        assert memo.resumed_runs == 1, (
+            "warm run never resumed from a snapshot"
+        )
+        assert memo.snapshots_taken > 0
     for label, result in (("populate", populate), ("warm", warm)):
         entry = entry_for(result)
         assert entry["core"] == pinned["core"], f"{label} core drifted"
@@ -87,9 +89,9 @@ def test_corrupt_snapshot_quarantined_and_cold_fallback(config, tmp_path):
     disk = DiskCache(tmp_path / "memo")
     memo = PhaseMemo(disk=disk)
     _run(config, trace, app, policy, memo)
-    assert memo.stores > 0
+    assert memo.snapshots_taken > 0
     blobs = sorted((tmp_path / "memo" / "snap").rglob("*.json"))
-    assert len(blobs) == memo.stores
+    assert len(blobs) == memo.snapshots_taken
 
     # Corrupt every stored snapshot two ways: garbage bytes (fails the
     # disk layer's checksum) and a checksum-valid record whose blob is
@@ -112,13 +114,13 @@ def test_corrupt_snapshot_quarantined_and_cold_fallback(config, tmp_path):
 
     warm = _run(config, trace, app, policy, memo)
     assert entry_for(warm) == cold, "fallback replay diverged from cold"
-    assert memo.hits == 0 and memo.corrupt > 0
+    assert memo.resumed_runs == 0 and memo.corrupt > 0
     quarantined = list((tmp_path / "memo" / "quarantine").glob("*.json"))
     assert quarantined, "corrupt snapshots were not quarantined"
     # The fallback run re-stored good snapshots under the same keys, so
     # a third run resumes again and still agrees.
     third = _run(config, trace, app, policy, memo)
-    assert memo.hits == 1
+    assert memo.resumed_runs == 1
     assert entry_for(third) == cold
 
 
@@ -139,13 +141,13 @@ def test_blob_write_errors_degrade_to_memory_tier(config, tmp_path):
     memo = PhaseMemo(disk=FullDisk(tmp_path / "memo"))
     first = _run(config, trace, app, policy, memo)
     assert entry_for(first) == cold
-    assert memo.stores > 0
-    assert memo.io_errors == memo.stores  # every disk write failed
+    assert memo.snapshots_taken > 0
+    assert memo.io_errors == memo.snapshots_taken  # every disk write failed
     assert memo.stats()["io_errors"] == memo.io_errors
     assert not list((tmp_path / "memo").rglob("*.json"))
     # The snapshots survived in the memory tier: still a warm resume.
     warm = _run(config, trace, app, policy, memo)
-    assert memo.hits == 1
+    assert memo.resumed_runs == 1
     assert entry_for(warm) == cold
     memo.clear()
     assert memo.io_errors == 0
