@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test bench-smoke bench sweep verify verify-faults verify-obs \
 	verify-serve verify-sim verify-memo verify-chaos verify-cluster \
 	verify-tenancy golden-update golden-update-tenancy \
-	reproduce reproduce-smoke
+	reproduce reproduce-smoke loc
 
 test:
 	$(PYTHON) -m pytest -q
@@ -104,6 +104,19 @@ reproduce-smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# Non-blank source lines per src/repro package plus the total, so a
+# change's effect on the size of src is read off, not estimated.
+loc:
+	@for pkg in src/repro/*/; do \
+		[ -f "$${pkg}__init__.py" ] || continue; \
+		printf '%-14s %6d\n' "$$(basename $$pkg)" \
+			"$$(find $$pkg -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"; \
+	done
+	@printf '%-14s %6d\n' "(top level)" \
+		"$$(cat src/repro/*.py | grep -cv '^[[:space:]]*$$')"
+	@printf '%-14s %6d\n' total \
+		"$$(find src/repro -name '*.py' -exec cat {} + | grep -cv '^[[:space:]]*$$')"
 
 sweep:
 	$(PYTHON) scripts/sweep.py --jobs 4

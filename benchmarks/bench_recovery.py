@@ -41,8 +41,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
-from repro.harness import runner  # noqa: E402
-from repro.harness.runner import cache_stats  # noqa: E402
+from repro.harness.runner import Runner, RunnerSettings  # noqa: E402
 from repro.serve import SimulationService  # noqa: E402
 
 #: The burst is one cheap app fanned out over seeds, so every job is a
@@ -66,10 +65,11 @@ def _burst_specs(burst: int) -> list[dict]:
 
 
 async def _phase_burst_and_kill(journal_dir: str, burst: int,
-                                jobs: int) -> dict:
+                                settings: RunnerSettings) -> dict:
     """Submit the burst, kill the service once roughly half finished."""
     service = SimulationService(
-        jobs=jobs, batch_max=4, journal_dir=journal_dir
+        jobs=settings.jobs, batch_max=4, journal_dir=journal_dir,
+        runner=Runner.from_settings(settings),
     )
     await service.start()
     submitted = []
@@ -97,15 +97,22 @@ async def _phase_burst_and_kill(journal_dir: str, burst: int,
     }
 
 
-async def _phase_recover(journal_dir: str, jobs: int,
+async def _phase_recover(journal_dir: str, settings: RunnerSettings,
                          job_ids: list[str]) -> dict:
-    """Measure recovery, then let the stranded jobs finish normally."""
-    service = SimulationService(jobs=jobs, journal_dir=journal_dir)
-    misses_before = cache_stats()["misses"]
+    """Measure recovery, then let the stranded jobs finish normally.
+
+    A fresh runner on the burst's settings is the "new process": its
+    memory is gone, the disk cache survives.
+    """
+    runner = Runner.from_settings(settings)
+    service = SimulationService(
+        jobs=settings.jobs, journal_dir=journal_dir, runner=runner
+    )
+    misses_before = runner.cache_stats()["misses"]
     t0 = time.monotonic()
     await service.start()  # start() runs recover() before dispatching
     recovery_wall_s = time.monotonic() - t0
-    resim_during_recovery = cache_stats()["misses"] - misses_before
+    resim_during_recovery = runner.cache_stats()["misses"] - misses_before
 
     # Drain the requeued remainder on the normal dispatch path.
     t1 = time.monotonic()
@@ -120,7 +127,7 @@ async def _phase_recover(journal_dir: str, jobs: int,
             raise SystemExit("recovered service never went idle")
         await asyncio.sleep(0.02)
     drain_wall_s = time.monotonic() - t1
-    resim_total = cache_stats()["misses"] - misses_before
+    resim_total = runner.cache_stats()["misses"] - misses_before
 
     lost = [
         job_id for job_id in job_ids if service.job(job_id) is None
@@ -156,48 +163,47 @@ def main(argv: list[str] | None = None) -> int:
 
     state = Path(tempfile.mkdtemp(prefix="repro-bench-recovery-"))
     journal_dir = str(state / "journal")
-    with runner.configured(jobs=args.jobs, cache_dir=str(state / "cache")):
-        burst_report = asyncio.run(
-            _phase_burst_and_kill(journal_dir, args.burst, args.jobs)
+    settings = RunnerSettings(jobs=args.jobs, cache_dir=str(state / "cache"))
+    burst_report = asyncio.run(
+        _phase_burst_and_kill(journal_dir, args.burst, settings)
+    )
+    print(
+        f"burst: {burst_report['acked']} jobs journaled, "
+        f"{burst_report['completed_before_kill']} completed, then killed"
+    )
+    job_ids = burst_report.pop("job_ids")
+    recover_report = asyncio.run(
+        _phase_recover(journal_dir, settings, job_ids)
+    )
+    print(
+        f"recovery: {recover_report['recovery_wall_s'] * 1e3:.1f} ms to "
+        f"re-own {burst_report['acked']} jobs "
+        f"({recover_report['recovered_cached']} from cache, "
+        f"{recover_report['recovered_requeued']} requeued)"
+    )
+    print(
+        f"  re-simulated during recovery: "
+        f"{recover_report['resimulated_during_recovery']} (want 0); "
+        f"stranded remainder finished in "
+        f"{recover_report['drain_wall_s']:.1f}s with "
+        f"{recover_report['resimulated_total']} re-simulations"
+    )
+    if recover_report["resimulated_during_recovery"] != 0:
+        raise SystemExit(
+            "recovery FAILED: cache-complete jobs were re-simulated "
+            f"({recover_report['resimulated_during_recovery']} misses "
+            "during recover())"
         )
-        print(
-            f"burst: {burst_report['acked']} jobs journaled, "
-            f"{burst_report['completed_before_kill']} completed, then killed"
+    if recover_report["lost"]:
+        raise SystemExit(
+            f"recovery FAILED: acked jobs lost: {recover_report['lost']}"
         )
-        job_ids = burst_report.pop("job_ids")
-        runner.clear_cache()  # "new process": memory gone, disk survives
-        recover_report = asyncio.run(
-            _phase_recover(journal_dir, args.jobs, job_ids)
-        )
-        print(
-            f"recovery: {recover_report['recovery_wall_s'] * 1e3:.1f} ms to "
-            f"re-own {burst_report['acked']} jobs "
-            f"({recover_report['recovered_cached']} from cache, "
-            f"{recover_report['recovered_requeued']} requeued)"
-        )
-        print(
-            f"  re-simulated during recovery: "
-            f"{recover_report['resimulated_during_recovery']} (want 0); "
-            f"stranded remainder finished in "
-            f"{recover_report['drain_wall_s']:.1f}s with "
-            f"{recover_report['resimulated_total']} re-simulations"
-        )
-        if recover_report["resimulated_during_recovery"] != 0:
-            raise SystemExit(
-                "recovery FAILED: cache-complete jobs were re-simulated "
-                f"({recover_report['resimulated_during_recovery']} misses "
-                "during recover())"
-            )
-        if recover_report["lost"]:
-            raise SystemExit(
-                f"recovery FAILED: acked jobs lost: {recover_report['lost']}"
-            )
-        report = {
-            "burst": args.burst,
-            "jobs": args.jobs,
-            **{f"burst_{k}": v for k, v in burst_report.items()},
-            **recover_report,
-        }
+    report = {
+        "burst": args.burst,
+        "jobs": args.jobs,
+        **{f"burst_{k}": v for k, v in burst_report.items()},
+        **recover_report,
+    }
     from benchmarks.conftest import write_bench_artifact
 
     out = write_bench_artifact("recovery", report, out=args.out)

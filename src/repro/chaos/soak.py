@@ -10,8 +10,9 @@ cache, the way a crashing production service would see them:
    the burst completes — then the service is :meth:`abandoned
    <repro.serve.service.SimulationService.abandon>` mid-queue and a
    garbage half-record is appended to the journal (crash mid-append);
-2. **recovery phase** — the in-process caches are dropped (a "new
-   process"), a fresh chaos-free service replays the journal, finishes
+2. **recovery phase** — a fresh :class:`~repro.harness.runner.Runner`
+   on the same settings stands in for a new process (memory gone, disk
+   kept), a fresh chaos-free service replays the journal, finishes
    every re-owned job, and jobs that were *served* a chaos failure are
    resubmitted a bounded number of times (the client-retry model).
 
@@ -35,7 +36,7 @@ from pathlib import Path
 
 from repro.chaos.inject import ChaosInjector
 from repro.chaos.plan import ChaosPlan
-from repro.harness import runner
+from repro.harness.runner import Runner, RunnerSettings
 from repro.serve.service import AdmissionError, SimulationService
 from repro.verify.golden import entry_for, golden_key, load_golden
 
@@ -97,7 +98,7 @@ async def _soak_cycle(
     apps,
     policies,
     journal_dir: Path,
-    jobs: int,
+    settings: RunnerSettings,
     golden_entries: dict,
     resubmit_limit: int,
     phase_timeout_s: float,
@@ -119,7 +120,8 @@ async def _soak_cycle(
     # batch_max=1 makes completion incremental, so the crash lands with
     # a mix of done, dispatched and still-queued jobs in the journal.
     service = SimulationService(
-        jobs=jobs, batch_max=1, journal_dir=str(journal_dir)
+        jobs=settings.jobs, batch_max=1, journal_dir=str(journal_dir),
+        runner=Runner.from_settings(settings),
     )
     acked: dict[str, tuple[str, str]] = {}
     with injector:
@@ -152,8 +154,12 @@ async def _soak_cycle(
     summary["acked"] = len(acked)
 
     # -- phase 2: chaos-free recovery ---------------------------------------
-    runner.clear_cache()  # "new process": memory gone, disk survives
-    recovered = SimulationService(jobs=jobs, journal_dir=str(journal_dir))
+    # "New process": a fresh runner on the same settings — memory gone,
+    # disk survives.
+    recovered = SimulationService(
+        jobs=settings.jobs, journal_dir=str(journal_dir),
+        runner=Runner.from_settings(settings),
+    )
     await recovered.start()
     summary["recovery"] = dict(recovered._recovery or {})
     await _wait_idle(recovered, phase_timeout_s)
@@ -213,7 +219,7 @@ async def _soak(
     apps,
     policies,
     journal_dir: Path,
-    jobs: int,
+    settings: RunnerSettings,
     resubmit_limit: int,
     phase_timeout_s: float,
 ) -> dict:
@@ -230,7 +236,7 @@ async def _soak(
                 apps=apps,
                 policies=policies,
                 journal_dir=journal_dir,
-                jobs=jobs,
+                settings=settings,
                 golden_entries=golden_entries,
                 resubmit_limit=resubmit_limit,
                 phase_timeout_s=phase_timeout_s,
@@ -270,23 +276,22 @@ def run_soak(
     """Run a full kill-restart-recover soak; returns its report.
 
     ``journal_dir`` and ``cache_dir`` are shared across all cycles —
-    they *are* the durable state under test.  The runner is pointed at
-    ``cache_dir`` for the duration and restored afterwards.
+    they *are* the durable state under test.  The soak runs on its own
+    runners over ``cache_dir``; the process-default runner is untouched.
     """
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
     journal_dir = Path(journal_dir)
     journal_dir.mkdir(parents=True, exist_ok=True)
-    with runner.configured(jobs=jobs, cache_dir=str(cache_dir)):
-        return asyncio.run(
-            _soak(
-                cycles=cycles,
-                seed=seed,
-                apps=tuple(apps),
-                policies=tuple(policies),
-                journal_dir=journal_dir,
-                jobs=jobs,
-                resubmit_limit=resubmit_limit,
-                phase_timeout_s=phase_timeout_s,
-            )
+    return asyncio.run(
+        _soak(
+            cycles=cycles,
+            seed=seed,
+            apps=tuple(apps),
+            policies=tuple(policies),
+            journal_dir=journal_dir,
+            settings=RunnerSettings(jobs=jobs, cache_dir=str(cache_dir)),
+            resubmit_limit=resubmit_limit,
+            phase_timeout_s=phase_timeout_s,
         )
+    )

@@ -42,6 +42,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
+from http.client import HTTPException
 from urllib.parse import urlparse
 
 from repro import POLICY_FACTORIES, baseline_config
@@ -62,6 +63,7 @@ from repro.serve.http import (
     ServeHttpServer,
     _json_response,
     _response_bytes,
+    serve_until_signalled,
 )
 from repro.serve.journal import JobJournal
 from repro.serve.service import (
@@ -202,10 +204,7 @@ class ClusterRouter:
         self._running = False
         if self._heartbeat is not None:
             self._heartbeat.cancel()
-            try:
-                await self._heartbeat
-            except asyncio.CancelledError:
-                pass
+            await await_shutdown(self._heartbeat, "cluster heartbeat")
             self._heartbeat = None
         for task in list(self._steals):
             try:
@@ -295,7 +294,9 @@ class ClusterRouter:
                     health = await asyncio.to_thread(
                         worker.client(timeout_s=5.0).health
                     )
-                except (ClientError, OSError):
+                except (ClientError, OSError, HTTPException):
+                    # No answer, an error status, a reply that is not
+                    # HTTP, or a body that is not a JSON object.
                     worker.misses += 1
                     if worker.misses >= self.heartbeat_miss_limit:
                         self._declare_dead(
@@ -542,10 +543,11 @@ class ClusterRouter:
                     "error_type": f"HTTP{err.status}",
                     "message": str(err),
                 }) from None
-            except OSError as exc:
-                # Connection refused / reset / timeout: the owner is
-                # gone.  Declare it dead (which also steals its journal)
-                # and walk to the ring's next owner.
+            except (OSError, HTTPException) as exc:
+                # Connection refused / reset / timeout, or a reply that
+                # is not HTTP: the owner is gone.  Declare it dead (which
+                # also steals its journal) and walk to the ring's next
+                # owner.
                 self.metrics.inc("cluster.forward_errors")
                 self._declare_dead(worker, f"forward failed: {exc}")
                 continue
@@ -725,34 +727,8 @@ class RouterHttpServer(ServeHttpServer):
 
 async def run_router(router: ClusterRouter, host: str, port: int) -> None:
     """Blocking entry point: serve the router until SIGTERM/SIGINT."""
-    import signal
-
     server = RouterHttpServer(router, host=host, port=port)
     await server.start()
     print(f"repro-oasis cluster: router on http://{server.host}:{server.port}"
           f" (max_inflight={router.max_inflight})")
-    loop = asyncio.get_running_loop()
-    shutdown = asyncio.Event()
-    installed: list = []
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, shutdown.set)
-            installed.append(sig)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass
-    serve_task = asyncio.create_task(server.serve_forever())
-    stop_task = asyncio.create_task(shutdown.wait())
-    try:
-        await asyncio.wait(
-            {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-    except asyncio.CancelledError:
-        pass
-    finally:
-        for task, name in ((serve_task, "router listener"),
-                           (stop_task, "router signal wait")):
-            task.cancel()
-            await await_shutdown(task, name)
-        for sig in installed:
-            loop.remove_signal_handler(sig)
-        await server.stop()
+    await serve_until_signalled(server, "router")

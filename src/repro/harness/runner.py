@@ -2,21 +2,32 @@
 
 Several figures share (config, workload, policy) combinations — Fig. 2 is
 a subset of Fig. 15, Figs. 22/23/24 reuse the same OASIS/GRIT runs — so
-simulation results are memoized at two levels:
-
-one :class:`~repro.harness.diskcache.Store` keyed by each run's
+simulation results are memoized at two levels, in one
+:class:`~repro.harness.diskcache.Store` keyed by each run's
 :func:`~repro.harness.diskcache.cache_key` digest, computed once per run:
 
-* **in process** — a bounded LRU (default 256 results, override with
-  ``REPRO_RUNNER_CACHE_SIZE``) keeps long sweep sessions from holding
-  every result ever computed.
+* **in process** — a bounded LRU (default 256 results) keeps long sweep
+  sessions from holding every result ever computed.
 * **on disk** — optionally, a persistent content-addressed tier shared
-  across processes and sessions.  Enable with :func:`configure` or
-  ``REPRO_DISK_CACHE=1``.
+  across processes and sessions.
+
+A :class:`Runner` owns that store, its optional phase memo (see
+:mod:`repro.sim.sweep`), a default worker count, its counters and the
+summary of its last sweep.  The module keeps one process-default runner
+behind :func:`configure`, :func:`run_sim`, :func:`run_sims_parallel`,
+:func:`cache_stats` and the other module functions; it reads
+``REPRO_DISK_CACHE``, ``REPRO_MEMO``/``REPRO_MEMO_DIR`` and the
+``REPRO_RUNNER_CACHE_SIZE`` bound once, at import.  A caller that needs
+a differently configured runner — the chaos soak, the recovery bench —
+builds its own :class:`Runner` and passes ``runner=`` to
+:func:`run_sims_parallel` (or to
+:class:`~repro.serve.service.SimulationService`).
 
 Independent runs can also be computed in parallel across worker
 processes with :func:`run_sims_parallel`; :func:`speedup_table` uses it
-to pre-warm the caches when ``jobs > 1``.
+to pre-warm the caches when ``jobs > 1``.  Every task carries the
+parent runner's :class:`RunnerSettings`, and each worker builds one
+runner from them that it reuses across its tasks.
 
 The parallel path is crash-tolerant: each run has a bounded number of
 attempts with exponential backoff, a per-run wall-clock timeout, and a
@@ -29,14 +40,15 @@ execution.  A run that still cannot complete yields a structured
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 import traceback as _traceback
 from collections import deque
-from contextlib import contextmanager
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro import POLICY_FACTORIES, make_policy
 from repro.config import SystemConfig
@@ -55,24 +67,17 @@ DEFAULT_MAX_ATTEMPTS = 2
 #: Pool rebuilds tolerated before degrading to in-process execution.
 DEFAULT_POOL_FAILURE_LIMIT = 2
 
-_STATS = {
+#: Counters every runner keeps, in :func:`cache_stats` order.
+_STAT_NAMES = (
     # Request slots served from / missing the memory tier (a disk hit
     # counts as a miss: the run was not in memory).
-    "hits": 0,
-    "misses": 0,
-    "run_retries": 0,
-    "pool_failures": 0,
+    "hits", "misses", "run_retries", "pool_failures",
     # Phase-memo counters merged back from worker processes; the serial
-    # path's counters live on the in-process PhaseMemo itself, so
-    # :func:`memo_stats` sums both (the sources are disjoint).
-    "memo_hits": 0,
-    "memo_misses": 0,
-    "memo_stores": 0,
-    "memo_snapshot_bytes": 0,
-    "memo_resumed_phases": 0,
-    "memo_corrupt": 0,
-    "memo_io_errors": 0,
-}
+    # path's counters live on the runner's own PhaseMemo, so
+    # :meth:`Runner.memo_stats` sums both (the sources are disjoint).
+    "memo_hits", "memo_misses", "memo_stores", "memo_snapshot_bytes",
+    "memo_resumed_phases", "memo_corrupt", "memo_io_errors",
+)
 #: Scalar memo counters shipped as per-run deltas from pool workers.
 _MEMO_DELTA_KEYS = (
     "hits", "misses", "stores", "snapshot_bytes",
@@ -80,6 +85,235 @@ _MEMO_DELTA_KEYS = (
 )
 #: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
 _CHAOS = None
+
+
+@dataclass(frozen=True)
+class RunnerSettings:
+    """Everything a :class:`Runner` is built from, as one picklable value.
+
+    Pool workers get their parent runner's settings with every task: a
+    ``spawn``-started worker (or one forked before a later
+    :meth:`Runner.configure`) would otherwise compute under defaults.
+    """
+
+    jobs: int = 1
+    #: Persistent result-store directory; None = no disk tier.
+    cache_dir: str | None = None
+    cache_size: int = DEFAULT_CACHE_SIZE
+    memo: bool = False
+    memo_dir: str | None = None
+
+
+class Runner:
+    """A results store, an optional phase memo, a default worker count,
+    counters and the last sweep's summary.
+
+    Built from the :meth:`configure` arguments plus ``cache_size``, the
+    memory tier's bound, or from :class:`RunnerSettings`.
+    """
+
+    def __init__(
+        self,
+        jobs: int = 1,
+        *,
+        disk_cache: bool = False,
+        cache_dir: str | None = None,
+        memo: bool | None = None,
+        memo_dir: str | None = None,
+        cache_size: int = DEFAULT_CACHE_SIZE,
+    ) -> None:
+        self.jobs = 1
+        self.results = Store(None, max_entries=cache_size)
+        self.stats = dict.fromkeys(_STAT_NAMES, 0)
+        #: Observability summary of the most recent
+        #: :func:`run_sims_parallel` sweep (see :func:`last_sweep_summary`).
+        self.last_sweep: dict | None = None
+        self._memo: PhaseMemo | None = None
+        self._memo_dir: str | None = None
+        self._memo_enabled = False
+        self.configure(jobs=jobs, disk_cache=disk_cache, cache_dir=cache_dir,
+                       memo=memo, memo_dir=memo_dir)
+
+    @classmethod
+    def from_settings(cls, settings: RunnerSettings) -> Runner:
+        return cls(**dataclasses.asdict(settings))
+
+    def settings(self) -> RunnerSettings:
+        disk = self.results.disk
+        return RunnerSettings(
+            jobs=self.jobs,
+            cache_dir=str(disk.root) if disk is not None else None,
+            cache_size=self.results.max_entries,
+            memo=self._memo_enabled,
+            memo_dir=self._memo_dir,
+        )
+
+    def configure(
+        self,
+        jobs: int | None = None,
+        disk_cache: bool | None = None,
+        cache_dir: str | None = None,
+        memo: bool | None = None,
+        memo_dir: str | None = None,
+    ) -> None:
+        """Adjust this runner's settings; None leaves one unchanged.
+
+        Args:
+            jobs: default worker-process count for :func:`run_sims_parallel`
+                and :func:`speedup_table` (1 = serial).
+            disk_cache: enable/disable the persistent result store.
+            cache_dir: directory for the persistent store (implies enabling
+                it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
+            memo: enable/disable the sweep fast path (phase-prefix snapshot
+                memoization; see :mod:`repro.sim.sweep`).  Off by default
+                (``REPRO_MEMO=1`` enables it on the process-default
+                runner); the sweep CLI turns it on for sweeps unless
+                ``--no-memo`` is given.
+            memo_dir: directory for a persistent snapshot tier (implies
+                enabling the memo).  Without it, snapshots share the result
+                store's directory when the disk cache is on, else stay
+                purely in-memory.
+        """
+        if jobs is not None:
+            if jobs < 1:
+                raise ValueError("jobs must be >= 1")
+            self.jobs = jobs
+        if cache_dir is not None:
+            self.results.disk = DiskCache(cache_dir)
+            self._memo = None  # a shared-disk memo tier must follow the move
+        elif disk_cache is not None:
+            self.results.disk = DiskCache() if disk_cache else None
+            self._memo = None
+        if memo_dir is not None:
+            self._memo_dir = memo_dir or None
+            self._memo = None
+            if memo is None:
+                memo = True
+        if memo is not None:
+            self._memo_enabled = bool(memo)
+            if not self._memo_enabled:
+                self._memo = None
+
+    def memo_store(self) -> PhaseMemo | None:
+        """The snapshot store, built lazily when enabled."""
+        if not self._memo_enabled:
+            return None
+        if self._memo is None:
+            disk = DiskCache(self._memo_dir) if self._memo_dir else self.results.disk
+            self._memo = PhaseMemo(disk=disk)
+        return self._memo
+
+    def clear(self) -> None:
+        """Drop all in-process memoized results and reset counters."""
+        self.results.clear()
+        self.stats.update(dict.fromkeys(self.stats, 0))
+        if self.results.disk is not None:
+            self.results.disk.reset_stats()
+        if self._memo is not None:
+            self._memo.clear()
+
+    def cache_stats(self) -> dict[str, int]:
+        """Hit/miss/size counters for both cache levels."""
+        store = self.results.stats()
+        disk = self.results.disk
+        return {
+            "size": store["entries"],
+            "capacity": self.results.max_entries,
+            "evictions": store["evictions"],
+            # Result writes that failed with OSError (disk full, chaos
+            # injection): the result survives in memory and is recomputed
+            # by a later process instead of crashing this one.
+            "store_errors": store["store_errors"],
+            **self.stats,
+            **(disk.stats() if disk is not None
+               else dict.fromkeys(DISK_COUNTERS, 0)),
+        }
+
+    def memo_stats(self) -> dict:
+        """Sweep-fast-path counters, all sources combined.
+
+        Serial runs count on this runner's :class:`PhaseMemo`; pool runs
+        ship per-run deltas back from their workers into :attr:`stats` —
+        the two sources are disjoint, so their sum is the total.
+        """
+        totals: dict = {
+            key: self.stats["memo_" + key] for key in _MEMO_DELTA_KEYS
+        }
+        totals.update(
+            {"prefix_forks": 0, "mem_entries": 0, "mem_bytes": 0}
+        )
+        if self._memo is not None:
+            live = self._memo.stats()
+            for key in _MEMO_DELTA_KEYS:
+                totals[key] += live[key]
+            totals["prefix_forks"] = live["prefix_forks"]
+            totals["mem_entries"] = live["mem_entries"]
+            totals["mem_bytes"] = live["mem_bytes"]
+        totals["enabled"] = self._memo_enabled
+        return totals
+
+    def publish_memo_metrics(self, registry) -> None:
+        """Publish :meth:`memo_stats` as gauges on an obs registry.
+
+        Serve-mode and CLI sweeps call this after each sweep so dashboards
+        see the same numbers ``last_sweep_summary`` reports.
+        """
+        for name, value in self.memo_stats().items():
+            registry.set_gauge(f"memo.{name}", float(value))
+
+    def run_sim(
+        self,
+        config: SystemConfig,
+        app: str,
+        policy: str,
+        *,
+        footprint_mb: float | None = None,
+        seed: int = 0,
+        **policy_kwargs,
+    ) -> SimulationResult:
+        """Simulate one (config, app, policy) combination, memoized."""
+        return self.run(_normalize_request({
+            "config": config, "app": app, "policy": policy,
+            "footprint_mb": footprint_mb, "seed": seed,
+            "policy_kwargs": policy_kwargs,
+        }))
+
+    def run(self, spec: dict) -> SimulationResult:
+        """Serve one normalized spec from the store, or simulate and
+        store it."""
+        config, app, policy = spec["config"], spec["app"], spec["policy"]
+        if policy not in POLICY_FACTORIES:
+            known = ", ".join(sorted(POLICY_FACTORIES))
+            raise ValueError(f"unknown policy {policy!r}; known: {known}")
+        key = spec["key"]
+        result, tier = self.results.lookup(key)
+        self.stats["hits" if tier == "memory" else "misses"] += 1
+        if result is not None:
+            return result
+        trace = get_workload(
+            app, config, footprint_mb=spec["footprint_mb"], seed=spec["seed"]
+        )
+        memo = self.memo_store()
+        session = None
+        if memo is not None:
+            session = memo.session(
+                config, app, policy,
+                footprint_mb=spec["footprint_mb"], seed=spec["seed"],
+                policy_kwargs=spec["policy_kwargs"], key=key,
+            )
+        result = simulate(
+            config, trace, make_policy(policy, **spec["policy_kwargs"]),
+            memo=session,
+        )
+        # A failed disk write (disk full, injected fault) keeps the valid
+        # result in memory; the store counts it and a later process
+        # recomputes it.
+        self.results.put(key, result)
+        return result
+
+
+def _env_flag(name: str) -> bool:
+    return os.environ.get(name, "").strip() not in ("", "0")
 
 
 def _cache_capacity() -> int:
@@ -92,124 +326,33 @@ def _cache_capacity() -> int:
     return DEFAULT_CACHE_SIZE
 
 
-def _results() -> Store:
-    """The results store, its memory bound refreshed from
-    ``REPRO_RUNNER_CACHE_SIZE`` so the env knob applies live."""
-    _RESULTS.max_entries = _cache_capacity()
-    return _RESULTS
-
-
-#: The results store; its disk tier is the persistent result cache.
-_RESULTS = Store(
-    DiskCache()
-    if os.environ.get("REPRO_DISK_CACHE", "").strip() not in ("", "0")
-    else None,
-    max_entries=_cache_capacity(),
+#: The process-default runner behind the module-level functions
+#: (``REPRO_MEMO_DIR`` implies the memo, as ``memo_dir`` does).
+_DEFAULT = Runner(
+    disk_cache=_env_flag("REPRO_DISK_CACHE"),
+    memo=_env_flag("REPRO_MEMO") or None,
+    memo_dir=os.environ.get("REPRO_MEMO_DIR", "").strip() or None,
+    cache_size=_cache_capacity(),
 )
-_JOBS = 1
-_MEMO: PhaseMemo | None = None
-_MEMO_DIR: str | None = os.environ.get("REPRO_MEMO_DIR", "").strip() or None
-_MEMO_ENABLED: bool = _MEMO_DIR is not None or (
-    os.environ.get("REPRO_MEMO", "").strip() not in ("", "0")
-)
-#: Observability summary of the most recent :func:`run_sims_parallel`
-#: sweep (see :func:`last_sweep_summary`).
-_LAST_SWEEP: dict | None = None
 
 
-def configure(
-    jobs: int | None = None,
-    disk_cache: bool | None = None,
-    cache_dir: str | None = None,
-    memo: bool | None = None,
-    memo_dir: str | None = None,
-) -> None:
-    """Adjust runner-wide settings.
-
-    Args:
-        jobs: default worker-process count for :func:`run_sims_parallel`
-            and :func:`speedup_table` (1 = serial).
-        disk_cache: enable/disable the persistent result store.
-        cache_dir: directory for the persistent store (implies enabling
-            it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
-        memo: enable/disable the sweep fast path (phase-prefix snapshot
-            memoization; see :mod:`repro.sim.sweep`).  Off by default
-            (``REPRO_MEMO=1`` enables it process-wide); the sweep CLI
-            turns it on for sweeps unless ``--no-memo`` is given.
-        memo_dir: directory for a persistent snapshot tier (implies
-            enabling the memo).  Without it, snapshots share the result
-            store's directory when the disk cache is on, else stay
-            purely in-memory.
-    """
-    global _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        _JOBS = jobs
-    if cache_dir is not None:
-        _RESULTS.disk = DiskCache(cache_dir)
-        _MEMO = None  # a shared-disk memo tier must follow the move
-    elif disk_cache is not None:
-        _RESULTS.disk = DiskCache() if disk_cache else None
-        _MEMO = None
-    if memo_dir is not None:
-        _MEMO_DIR = memo_dir or None
-        _MEMO = None
-        if memo is None:
-            memo = True
-    if memo is not None:
-        _MEMO_ENABLED = bool(memo)
-        if not _MEMO_ENABLED:
-            _MEMO = None
-
-
-@contextmanager
-def configured(**settings):
-    """Apply :func:`configure` ``settings`` for a block, then drop the
-    block's in-process results and restore the previous settings."""
-    global _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
-    saved = (_JOBS, _RESULTS.disk, _MEMO, _MEMO_DIR, _MEMO_ENABLED)
-    configure(**settings)
-    try:
-        yield
-    finally:
-        clear_cache()
-        _JOBS, _RESULTS.disk, _MEMO, _MEMO_DIR, _MEMO_ENABLED = saved
+def default_runner() -> Runner:
+    """The process-default runner the module-level functions act on."""
+    return _DEFAULT
 
 
 def disk_cache() -> DiskCache | None:
-    """The runner's persistent result store, or None when disabled."""
-    return _RESULTS.disk
+    """The default runner's persistent result store, or None."""
+    return _DEFAULT.results.disk
 
 
 def result_store() -> Store:
-    """The runner's two-tier results store."""
-    return _results()
-
-
-def _memo_store() -> PhaseMemo | None:
-    """The process-wide snapshot store, built lazily when enabled."""
-    global _MEMO
-    if not _MEMO_ENABLED:
-        return None
-    if _MEMO is None:
-        disk = DiskCache(_MEMO_DIR) if _MEMO_DIR else _RESULTS.disk
-        _MEMO = PhaseMemo(disk=disk)
-    return _MEMO
-
-
-def clear_cache() -> None:
-    """Drop all in-process memoized results and reset counters."""
-    _RESULTS.clear()
-    _STATS.update({key: 0 for key in _STATS})
-    if _RESULTS.disk is not None:
-        _RESULTS.disk.reset_stats()
-    if _MEMO is not None:
-        _MEMO.clear()
+    """The default runner's two-tier results store."""
+    return _DEFAULT.results
 
 
 def last_sweep_summary() -> dict | None:
-    """Observability summary of the most recent parallel sweep.
+    """Observability summary of the default runner's most recent sweep.
 
     ``None`` until :func:`run_sims_parallel` has run.  The summary is a
     plain JSON-serializable dict::
@@ -231,7 +374,16 @@ def last_sweep_summary() -> dict | None:
     so a sweep report and the individual run traces can never disagree
     on a total.
     """
-    return _LAST_SWEEP
+    return _DEFAULT.last_sweep
+
+
+# The process-default runner's methods, as module functions.
+configure = _DEFAULT.configure
+clear_cache = _DEFAULT.clear
+cache_stats = _DEFAULT.cache_stats
+memo_stats = _DEFAULT.memo_stats
+publish_memo_metrics = _DEFAULT.publish_memo_metrics
+run_sim = _DEFAULT.run_sim
 
 
 def _spec_label(spec: dict) -> str:
@@ -242,76 +394,6 @@ def _spec_label(spec: dict) -> str:
     if spec["seed"]:
         label += f"#{spec['seed']}"
     return label
-
-
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for both cache levels."""
-    store = _RESULTS.stats()
-    disk = _RESULTS.disk
-    return {
-        "size": store["entries"],
-        "capacity": _cache_capacity(),
-        "evictions": store["evictions"],
-        # Result writes that failed with OSError (disk full, chaos
-        # injection): the result survives in memory and is recomputed
-        # by a later process instead of crashing this one.
-        "store_errors": store["store_errors"],
-        **_STATS,
-        **(disk.stats() if disk is not None
-           else dict.fromkeys(DISK_COUNTERS, 0)),
-    }
-
-
-def memo_stats() -> dict:
-    """Process-lifetime sweep-fast-path counters, all sources combined.
-
-    Serial runs count on the in-process :class:`PhaseMemo`; pool runs
-    ship per-run deltas back from their workers into ``_STATS`` — the
-    two sources are disjoint, so their sum is the process total.
-    """
-    totals: dict = {
-        key: _STATS["memo_" + key] for key in _MEMO_DELTA_KEYS
-    }
-    totals.update(
-        {"prefix_forks": 0, "mem_entries": 0, "mem_bytes": 0}
-    )
-    memo = _MEMO
-    if memo is not None:
-        live = memo.stats()
-        for key in _MEMO_DELTA_KEYS:
-            totals[key] += live[key]
-        totals["prefix_forks"] = live["prefix_forks"]
-        totals["mem_entries"] = live["mem_entries"]
-        totals["mem_bytes"] = live["mem_bytes"]
-    totals["enabled"] = _MEMO_ENABLED
-    return totals
-
-
-def publish_memo_metrics(registry) -> None:
-    """Publish memo counters as gauges on an obs registry.
-
-    Serve-mode and CLI sweeps call this after each sweep so dashboards
-    see the same numbers ``last_sweep_summary`` reports.
-    """
-    for name, value in memo_stats().items():
-        registry.set_gauge(f"memo.{name}", float(value))
-
-
-def run_sim(
-    config: SystemConfig,
-    app: str,
-    policy: str,
-    *,
-    footprint_mb: float | None = None,
-    seed: int = 0,
-    **policy_kwargs,
-) -> SimulationResult:
-    """Simulate one (config, app, policy) combination, memoized."""
-    return _run(_normalize_request({
-        "config": config, "app": app, "policy": policy,
-        "footprint_mb": footprint_mb, "seed": seed,
-        "policy_kwargs": policy_kwargs,
-    }))
 
 
 # -- parallel execution ----------------------------------------------------
@@ -370,75 +452,12 @@ def _normalize_request(request) -> dict:
     return spec
 
 
-def _run_spec(spec: dict) -> SimulationResult:
+def _run_spec(runner: Runner, spec: dict) -> SimulationResult:
     if _CHAOS is not None:
         # May raise a retryable ChaosWorkerKill before the run counts a
         # cache miss, mirroring a worker that dies pre-compute.
         _CHAOS.run_fault(spec["app"], spec["policy"])
-    return _run(spec)
-
-
-def _run(spec: dict) -> SimulationResult:
-    """Serve one normalized spec from the store, or simulate and store it."""
-    config, app, policy = spec["config"], spec["app"], spec["policy"]
-    if policy not in POLICY_FACTORIES:
-        known = ", ".join(sorted(POLICY_FACTORIES))
-        raise ValueError(f"unknown policy {policy!r}; known: {known}")
-    key = spec["key"]
-    result, tier = _results().lookup(key)
-    _STATS["hits" if tier == "memory" else "misses"] += 1
-    if result is not None:
-        return result
-    trace = get_workload(
-        app, config, footprint_mb=spec["footprint_mb"], seed=spec["seed"]
-    )
-    memo = _memo_store()
-    session = None
-    if memo is not None:
-        session = memo.session(
-            config, app, policy,
-            footprint_mb=spec["footprint_mb"], seed=spec["seed"],
-            policy_kwargs=spec["policy_kwargs"], key=key,
-        )
-    result = simulate(
-        config, trace, make_policy(policy, **spec["policy_kwargs"]),
-        memo=session,
-    )
-    # A failed disk write (disk full, injected fault) keeps the valid
-    # result in memory; the store counts it and a later process
-    # recomputes it.
-    _RESULTS.put(key, result)
-    return result
-
-
-def _runner_config() -> dict:
-    """Snapshot of the runner settings a worker process must inherit.
-
-    With the ``fork`` start method workers inherit parent state anyway,
-    but ``spawn`` (and a worker forked before a later ``configure()``
-    call) starts from module defaults — so the full configuration rides
-    in every payload.
-    """
-    disk = _RESULTS.disk
-    return {
-        "jobs": _JOBS,
-        "disk_enabled": disk is not None,
-        "disk_root": str(disk.root) if disk is not None else None,
-        "cache_size": _cache_capacity(),
-        "memo_enabled": _MEMO_ENABLED,
-        "memo_dir": _MEMO_DIR,
-    }
-
-
-def _apply_runner_config(cfg: dict) -> None:
-    os.environ["REPRO_RUNNER_CACHE_SIZE"] = str(cfg["cache_size"])
-    configure(
-        jobs=cfg["jobs"],
-        disk_cache=cfg["disk_enabled"],
-        cache_dir=cfg["disk_root"] if cfg["disk_enabled"] else None,
-        memo=cfg.get("memo_enabled", False),
-        memo_dir=cfg.get("memo_dir"),
-    )
+    return runner.run(spec)
 
 
 def _maybe_fault_hook(spec: dict) -> None:
@@ -476,6 +495,13 @@ def _maybe_fault_hook(spec: dict) -> None:
         time.sleep(3600.0)
 
 
+@lru_cache(maxsize=1)
+def _worker_runner(settings: RunnerSettings) -> Runner:
+    """The one runner a pool worker reuses across its tasks, so the
+    worker-side memo memory tier spans runs."""
+    return Runner.from_settings(settings)
+
+
 def _worker(payload: tuple) -> tuple:
     """Pool entry point: run one spec, ship back (result, memo delta).
 
@@ -484,13 +510,12 @@ def _worker(payload: tuple) -> tuple:
     lane records drained since the last run) is what the parent merges,
     keeping the sweep's global accounting double-count-free.
     """
-    spec, runner_cfg = payload
-    if runner_cfg is not None:
-        _apply_runner_config(runner_cfg)
-        _maybe_fault_hook(spec)
-    memo = _memo_store()
+    spec, settings = payload
+    runner = _worker_runner(settings)
+    _maybe_fault_hook(spec)
+    memo = runner.memo_store()
     before = memo.stats() if memo is not None else None
-    result = _run_spec(spec)
+    result = _run_spec(runner, spec)
     delta = None
     if memo is not None:
         after = memo.stats()
@@ -503,13 +528,13 @@ def _worker(payload: tuple) -> tuple:
     return result, delta
 
 
-def _merge_memo_delta(delta: dict | None) -> None:
+def _merge_memo_delta(runner: Runner, delta: dict | None) -> None:
     """Fold one worker run's memo delta into the parent's accounting."""
     if not delta:
         return
     for key, value in delta["counters"].items():
-        _STATS["memo_" + key] += value
-    memo = _memo_store()
+        runner.stats["memo_" + key] += value
+    memo = runner.memo_store()
     if memo is not None and delta["lanes"]:
         # Replaying through the parent's lanes recomputes shared-prefix
         # and fork accounting against the sweep-global cohort state.
@@ -586,25 +611,25 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _drain_pool(
+    runner: Runner,
     pending: dict,
     n_jobs: int,
     timeout_s: float | None,
     max_attempts: int,
     pool_failure_limit: int,
     fresh: dict,
-    precounted: set,
     failures: dict,
-    timings: dict | None = None,
-) -> None:
+    timings: dict,
+) -> dict[str, int]:
     """Compute every ``pending`` run with crash/timeout isolation.
 
-    Fills ``fresh`` (key → result) and ``failures`` (key → RunFailure).
-    Keys computed in-process after a pool degradation land in
-    ``precounted`` (their cache miss is already accounted).  When a
-    ``timings`` dict is given, each completed run records its wall-clock
-    seconds (including queueing on a busy pool) under its key.
+    Fills ``fresh`` (key → result) and ``failures`` (key → RunFailure);
+    each completed run records its wall-clock seconds (including
+    queueing on a busy pool) in ``timings`` under its key.  Returns the
+    runs a pool that kept dying left unfinished, each with the attempts
+    it already used, for the caller's in-process loop.
     """
-    runner_cfg = _runner_config()
+    settings = runner.settings()
     queue: deque = deque(pending.items())
     attempts = {key: 0 for key in pending}
     pool: ProcessPoolExecutor | None = ProcessPoolExecutor(max_workers=n_jobs)
@@ -617,7 +642,7 @@ def _drain_pool(
                 key, spec = queue.popleft()
                 attempts[key] += 1
                 try:
-                    future = pool.submit(_worker, (spec, runner_cfg))
+                    future = pool.submit(_worker, (spec, settings))
                 except Exception:
                     attempts[key] -= 1
                     queue.appendleft((key, spec))
@@ -659,7 +684,7 @@ def _drain_pool(
                             isinstance(exc, _RETRYABLE)
                             and attempts[key] < max_attempts
                         ):
-                            _STATS["run_retries"] += 1
+                            runner.stats["run_retries"] += 1
                             _retry_backoff(attempts[key])
                             queue.append((key, spec))
                         else:
@@ -667,10 +692,9 @@ def _drain_pool(
                                 spec, attempts[key], exc
                             )
                         continue
-                    _merge_memo_delta(memo_delta)
+                    _merge_memo_delta(runner, memo_delta)
                     fresh[key] = result
-                    if timings is not None:
-                        timings[key] = time.monotonic() - started
+                    timings[key] = time.monotonic() - started
                 now = time.monotonic()
                 expired = [
                     f
@@ -683,7 +707,7 @@ def _drain_pool(
                     broken = True
                     key, spec, _deadline, _started = inflight.pop(future)
                     if attempts[key] < max_attempts:
-                        _STATS["run_retries"] += 1
+                        runner.stats["run_retries"] += 1
                         queue.append((key, spec))
                     else:
                         failures[key] = _failure_from(
@@ -700,7 +724,7 @@ def _drain_pool(
                     queue.append((key, spec))
                 inflight.clear()
                 _teardown_pool(pool)
-                _STATS["pool_failures"] += 1
+                runner.stats["pool_failures"] += 1
                 pool_failures += 1
                 if pool_failures > pool_failure_limit:
                     pool = None
@@ -709,29 +733,9 @@ def _drain_pool(
     finally:
         if pool is not None:
             _teardown_pool(pool)
-    if pool is None and (queue or inflight):
-        # The pool keeps dying: finish the remaining work in-process.
-        # (Timeouts cannot be enforced without process isolation.)
-        for key, spec, *_rest in list(inflight.values()):
-            queue.append((key, spec))
-        while queue:
-            key, spec = queue.popleft()
-            attempts[key] += 1
-            started = time.monotonic()
-            try:
-                result = _run_spec(spec)
-            except Exception as exc:
-                if isinstance(exc, _RETRYABLE) and attempts[key] < max_attempts:
-                    _STATS["run_retries"] += 1
-                    _retry_backoff(attempts[key])
-                    queue.append((key, spec))
-                else:
-                    failures[key] = _failure_from(spec, attempts[key], exc)
-                continue
-            fresh[key] = result
-            precounted.add(key)
-            if timings is not None:
-                timings[key] = time.monotonic() - started
+    # Empty unless the pool degraded: its broken branch moved every
+    # in-flight run back onto the queue, uncharged.
+    return {key: attempts[key] for key, _spec in queue}
 
 
 def run_sims_parallel(
@@ -741,6 +745,7 @@ def run_sims_parallel(
     timeout_s: float | None = None,
     max_attempts: int | None = None,
     pool_failure_limit: int = DEFAULT_POOL_FAILURE_LIMIT,
+    runner: Runner | None = None,
 ) -> list:
     """Run many independent simulations across worker processes.
 
@@ -749,7 +754,7 @@ def run_sims_parallel(
             ``(config, app, policy)`` triples (optionally with a fourth
             element: a dict of ``footprint_mb`` / ``seed`` /
             ``policy_kwargs`` extras) or dicts with those keys.
-        jobs: worker processes; defaults to the :func:`configure` value.
+        jobs: worker processes; defaults to the runner's ``jobs``.
             With ``jobs=1`` everything runs serially in-process.
         timeout_s: per-run wall-clock limit (pool mode only); defaults
             to ``REPRO_RUN_TIMEOUT_S`` (unset = no limit).  A run that
@@ -758,6 +763,9 @@ def run_sims_parallel(
             defaults to ``REPRO_RUN_MAX_ATTEMPTS`` (fallback 2).
         pool_failure_limit: pool rebuilds tolerated before the remaining
             work degrades to in-process serial execution.
+        runner: the :class:`Runner` whose store, memo, counters and
+            sweep summary the sweep uses; defaults to the process-default
+            runner.
 
     Returns:
         One entry per request, in request order: a
@@ -767,17 +775,19 @@ def run_sims_parallel(
         the in-process cache (and, when enabled, the disk cache —
         workers write it, so a crashed sweep keeps its finished runs).
     """
-    global _LAST_SWEEP
+    if runner is None:
+        runner = _DEFAULT
+    stats = runner.stats
     if _CHAOS is not None:
         delay = _CHAOS.dispatch_delay()
         if delay:
             time.sleep(delay)
     sweep_started = time.monotonic()
-    stats_before = dict(_STATS)
-    memo_before = memo_stats()
+    stats_before = dict(stats)
+    memo_before = runner.memo_stats()
     timings: dict[str, float] = {}
     specs = [_normalize_request(r) for r in requests]
-    n_jobs = jobs if jobs is not None else _JOBS
+    n_jobs = jobs if jobs is not None else runner.jobs
     if n_jobs < 1:
         raise ValueError("jobs must be >= 1")
     n_jobs = min(n_jobs, max(1, len(specs)))
@@ -803,21 +813,21 @@ def run_sims_parallel(
     pending: dict[str, dict] = {}
     for spec in specs:
         key = spec["key"]
-        if key not in _RESULTS and key not in pending:
+        if key not in runner.results and key not in pending:
             pending[key] = spec
 
     fresh: dict[str, SimulationResult] = {}
-    precounted: set[str] = set()
     failures: dict[str, RunFailure] = {}
+    used: dict[str, int] = {}
     if pending and n_jobs > 1:
-        _drain_pool(
+        used = _drain_pool(
+            runner,
             pending,
             n_jobs,
             timeout_s,
             max_attempts,
             pool_failure_limit,
             fresh,
-            precounted,
             failures,
             timings,
         )
@@ -825,8 +835,11 @@ def run_sims_parallel(
     # Assemble results in request order.  Cache accounting reconciles:
     # every request slot is exactly one hit or one miss (failures are
     # neither — they were never computed).  Work computed in the pool is
-    # counted as a miss at its first request slot; duplicates and
-    # already-cached specs go through run_sim (a hit).
+    # counted as a miss at its first request slot.  Everything else runs
+    # here, in-process: duplicates and already-cached specs (a hit), the
+    # serial path (jobs=1), and runs a degraded pool left unfinished,
+    # which keep the attempts they used there.  (Timeouts cannot be
+    # enforced without process isolation.)
     out: list = []
     counted: set[str] = set()
     for spec in specs:
@@ -836,30 +849,30 @@ def run_sims_parallel(
             continue
         if key in fresh and key not in counted:
             counted.add(key)
-            if key not in precounted:
-                _STATS["misses"] += 1
+            stats["misses"] += 1
             # Workers already persisted pool results to the disk tier.
-            _results().put(key, fresh[key], persist=False)
+            runner.results.put(key, fresh[key], persist=False)
             out.append(fresh[key])
             continue
         started = time.monotonic()
-        attempt = 0
+        attempt = used.get(key, 0)
         while True:
             attempt += 1
             try:
-                result = _run_spec(spec)
+                result = _run_spec(runner, spec)
                 break
             except Exception as exc:
-                # Serial path (jobs=1, or a spec that failed only here):
-                # retry the environmental failures the pool path would
+                # Retry the environmental failures the pool path would
                 # retry, then diagnose instead of aborting.
                 if isinstance(exc, _RETRYABLE) and attempt < max_attempts:
-                    _STATS["run_retries"] += 1
+                    stats["run_retries"] += 1
                     _retry_backoff(attempt)
                     continue
                 result = _failure_from(spec, attempt, exc)
                 break
         if isinstance(result, RunFailure):
+            # Duplicates share the diagnosis, as they do a pool failure.
+            failures[key] = result
             out.append(result)
             continue
         timings.setdefault(key, time.monotonic() - started)
@@ -878,13 +891,13 @@ def run_sims_parallel(
             for name, value in snap_counters.items():
                 counters[name] = counters.get(name, 0.0) + value
     n_failed = sum(1 for r in out if isinstance(r, RunFailure))
-    memo_after = memo_stats()
-    _LAST_SWEEP = {
+    memo_after = runner.memo_stats()
+    summary = {
         "runs": len(specs),
         "ok": len(specs) - n_failed,
         "failed": n_failed,
         "cache": {
-            name: _STATS[name] - stats_before[name]
+            name: stats[name] - stats_before[name]
             for name in ("hits", "misses", "run_retries", "pool_failures")
         },
         # Sweep fast path accounting, as a delta over this sweep only —
@@ -916,7 +929,8 @@ def run_sims_parallel(
         # over every run that carried tenant counters.
         from repro.tenancy.fairness import tenant_rollup
 
-        _LAST_SWEEP["tenancy"] = tenant_rollup(counters)
+        summary["tenancy"] = tenant_rollup(counters)
+    runner.last_sweep = summary
     return out
 
 
@@ -952,7 +966,7 @@ def speedup_table(
         to its geometric-mean speedup.
     """
     base_cfg = baseline_config or config
-    n_jobs = jobs if jobs is not None else _JOBS
+    n_jobs = jobs if jobs is not None else _DEFAULT.jobs
     if n_jobs > 1:
         requests = []
         for app in apps:

@@ -122,6 +122,11 @@ class ServeClient:
             payload = json.loads(data.decode() or "{}")
         except json.JSONDecodeError:
             payload = {"error": data.decode(errors="replace")}
+        except UnicodeDecodeError:
+            raise ClientError(status, "reply body is not UTF-8") from None
+        if not isinstance(payload, dict):
+            # Every serve and router reply is a JSON object.
+            raise ClientError(status, "reply is not a JSON object")
         if status in (429, 503):
             # 429: the service's own admission control; 503: an
             # intermediary (e.g. the cluster router) shedding on a

@@ -313,7 +313,6 @@ async def run_server(service: SimulationService, host: str,
     router can steal live jobs if this worker dies.
     """
     import os
-    import signal
 
     server = ServeHttpServer(service, host=host, port=port)
     await server.start()
@@ -336,6 +335,31 @@ async def run_server(service: SimulationService, host: str,
             name=f"repro-register-{name}", daemon=True,
         )
         register_thread.start()
+
+    async def drain() -> None:
+        print("repro-oasis serve: draining "
+              f"({service.stats()['queue_depth']} queued) ...")
+        drained = await service.drain(drain_timeout_s)
+        print(
+            "repro-oasis serve: drained; shutting down" if drained
+            else "repro-oasis serve: drain timed out; unfinished "
+                 "jobs stay journaled for the next start"
+        )
+
+    await serve_until_signalled(server, "serve", on_signal=drain)
+
+
+async def serve_until_signalled(server, name: str, *, on_signal=None) -> None:
+    """Run ``server.serve_forever()`` until SIGTERM/SIGINT, then stop it.
+
+    ``on_signal`` (an async callable) runs first when a signal, not a
+    listener failure, ended the wait: the serve CLI drains its service
+    there.  The listener and signal-wait tasks are torn down through
+    :func:`~repro.serve.service.await_shutdown`, so a failure in either
+    is reported under ``name`` instead of lost.
+    """
+    import signal
+
     loop = asyncio.get_running_loop()
     shutdown = asyncio.Event()
     installed: list = []
@@ -351,22 +375,15 @@ async def run_server(service: SimulationService, host: str,
         done, _ = await asyncio.wait(
             {serve_task, stop_task}, return_when=asyncio.FIRST_COMPLETED
         )
-        if stop_task in done:
-            print("repro-oasis serve: draining "
-                  f"({service.stats()['queue_depth']} queued) ...")
-            drained = await service.drain(drain_timeout_s)
-            print(
-                "repro-oasis serve: drained; shutting down" if drained
-                else "repro-oasis serve: drain timed out; unfinished "
-                     "jobs stay journaled for the next start"
-            )
+        if stop_task in done and on_signal is not None:
+            await on_signal()
     except asyncio.CancelledError:
         pass
     finally:
-        for task, name in ((serve_task, "serve listener"),
-                           (stop_task, "serve signal wait")):
+        for task, what in ((serve_task, f"{name} listener"),
+                           (stop_task, f"{name} signal wait")):
             task.cancel()
-            await await_shutdown(task, name)
+            await await_shutdown(task, what)
         for sig in installed:
             loop.remove_signal_handler(sig)
         await server.stop()

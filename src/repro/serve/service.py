@@ -28,9 +28,11 @@ One :class:`SimulationService` owns four cooperating pieces:
   :class:`~repro.obs.MetricsRegistry` and export through the same
   Prometheus path every other subsystem uses.
 
-The dispatcher runs one batch at a time because the parallel runner's
-caches and sweep summary are module-global; concurrency comes from the
-worker processes inside the pool, not from overlapping sweeps.
+The dispatcher runs one batch at a time because a
+:class:`~repro.harness.runner.Runner`'s store, counters and sweep
+summary belong to one sweep at a time; concurrency comes from the worker
+processes inside the pool, not from overlapping sweeps.  A service runs
+on the process-default runner unless it is given its own ``runner=``.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from repro import POLICY_FACTORIES, baseline_config
 from repro.config import SystemConfig
 from repro.harness.diskcache import cache_key
 from repro.harness.runner import (
+    Runner,
     RunFailure,
-    disk_cache,
-    last_sweep_summary,
+    default_runner,
     run_sims_parallel,
 )
 from repro.obs import MetricsRegistry, MetricsSnapshot, RecordingTracer
@@ -297,6 +299,9 @@ class SimulationService:
             half-open single-job probe batch is allowed through.
         name: optional worker identity reported in ``/healthz``; the
             cluster router uses it to match health to ring members.
+        runner: the :class:`~repro.harness.runner.Runner` batches run
+            on (default: the process-default runner, so
+            :func:`repro.harness.configure` applies).
 
     Construct and drive it inside one event loop; all queue state is
     loop-confined (no locks), only the simulation batch leaves the loop
@@ -316,6 +321,7 @@ class SimulationService:
         breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
         breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         name: str | None = None,
+        runner: Runner | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -339,6 +345,7 @@ class SimulationService:
         #: Optional worker identity, surfaced in ``/healthz`` so the
         #: cluster router can match health reports to ring members.
         self.name = name
+        self.runner = runner if runner is not None else default_runner()
 
         self.metrics = MetricsRegistry()
         self.tracer = RecordingTracer()
@@ -464,7 +471,7 @@ class SimulationService:
         A batch running in the worker thread when the crash lands is
         waited out (its jobs still resolve nothing — like a pool whose
         results nobody collects) so a successor service never races it
-        on the runner's process-global caches.
+        on a shared runner's caches.
         """
         self._running = False
         self._draining = False
@@ -513,7 +520,7 @@ class SimulationService:
         """
         assert self.journal is not None, "recover() needs a journal"
         replay = self.journal.replay()
-        disk = disk_cache()
+        disk = self.runner.results.disk
         loop = asyncio.get_running_loop()
         summary = {
             "journal_records": replay.records,
@@ -856,9 +863,10 @@ class SimulationService:
     def _run_batch(self, requests: list, timeout_s: float | None):
         """Worker-thread body: one crash-tolerant sweep + its summary."""
         results = run_sims_parallel(
-            requests, jobs=self.jobs, timeout_s=timeout_s
+            requests, jobs=self.jobs, timeout_s=timeout_s,
+            runner=self.runner,
         )
-        return results, last_sweep_summary()
+        return results, self.runner.last_sweep
 
     # -- circuit breaker ---------------------------------------------------
 

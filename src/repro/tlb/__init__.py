@@ -6,7 +6,7 @@ invalidate PTEs also shoot down the matching TLB entries; those shootdowns
 are what makes migrations and collapses expensive beyond the data copy.
 """
 
-from repro.tlb.hierarchy import TLBHierarchy, TranslationResult
+from repro.tlb.hierarchy import TLBHierarchy
 from repro.tlb.tlb import SetAssociativeTLB
 
-__all__ = ["SetAssociativeTLB", "TLBHierarchy", "TranslationResult"]
+__all__ = ["SetAssociativeTLB", "TLBHierarchy"]

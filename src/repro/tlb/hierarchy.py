@@ -2,30 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import LatencyModel, TLBConfig
 from repro.tlb.tlb import SetAssociativeTLB
-
-
-@dataclass(frozen=True)
-class TranslationResult:
-    """Outcome of a translation attempt.
-
-    Attributes:
-        level: ``"l1"``, ``"l2"`` or ``"walk"`` — where the translation was
-            found (``"walk"`` means both TLBs missed and the GMMU walked the
-            local page table).
-        cost_ns: lookup latency accumulated on the way.
-    """
-
-    level: str
-    cost_ns: float
-
-    @property
-    def l2_miss(self) -> bool:
-        """True when the request reached the GMMU page-table walker."""
-        return self.level == "walk"
 
 
 class TLBHierarchy:
@@ -44,24 +22,12 @@ class TLBHierarchy:
         self._l2_cost = latency.l1_tlb_hit_ns + latency.l2_tlb_ns
         self._walk_cost = self._l2_cost + latency.walk_ns
 
-    def translate(self, page: int) -> TranslationResult:
+    def translate_fast(self, page: int) -> tuple[float, bool]:
         """Look up ``page``; on misses, walk and fill both levels.
 
-        The caller is responsible for only translating pages whose PTE is
-        valid — a faulting access never installs a TLB entry.
+        Returns ``(cost_ns, walked)``.  The caller only translates pages
+        whose PTE is valid — a faulting access never installs an entry.
         """
-        if self.l1.lookup(page):
-            return TranslationResult("l1", self._l1_cost)
-        if self.l2.lookup(page):
-            self.l1.fill(page)
-            return TranslationResult("l2", self._l2_cost)
-        self.l2.fill(page)
-        self.l1.fill(page)
-        return TranslationResult("walk", self._walk_cost)
-
-    def translate_fast(self, page: int) -> tuple[float, bool]:
-        """Hot-path translation: ``(cost_ns, l2_missed)`` without the
-        result-object allocation."""
         if self.l1.lookup(page):
             return self._l1_cost, False
         if self.l2.lookup(page):

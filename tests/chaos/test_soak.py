@@ -12,6 +12,9 @@ the CI budget; ``repro-oasis chaos`` runs the heavier default burst.
 import pytest
 
 from repro.chaos import run_soak
+from repro.harness import cache_stats, clear_cache, run_sim
+from repro.harness.diskcache import cache_key
+from repro.harness.runner import result_store
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +49,23 @@ def test_soak_three_cycles_no_loss_bit_identical(tmp_path):
     # disk cache — the journal + cache survive every crash.
     recoveries = [c["recovery"] for c in report["per_cycle"]]
     assert any(r.get("recovered_cached", 0) > 0 for r in recoveries)
+
+
+def test_soak_leaves_the_default_runner_untouched(tmp_path, config):
+    """The soak runs on its own runners: the process-default runner's
+    in-memory results and counters survive it unchanged."""
+    clear_cache()
+    try:
+        run_sim(config, "mm", "on_touch", footprint_mb=4.0)
+        before = cache_stats()
+        run_soak(tmp_path / "journal", tmp_path / "cache", cycles=1,
+                 seed=0, apps=("mm",), policies=("on_touch",))
+        assert cache_stats() == before
+        assert cache_key(config, "mm", "on_touch", 4.0, 0, {}) in (
+            result_store()
+        )
+    finally:
+        clear_cache()
 
 
 def test_soak_rejects_bad_cycles(tmp_path):

@@ -3,6 +3,7 @@ single-flight, and journal stealing — no subprocesses, no simulations."""
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -195,6 +196,67 @@ def test_dead_worker_failover_and_ring_removal(tmp_path, canned_result):
     finally:
         live.close()
         sut.close()
+
+
+class RawListener:
+    """A TCP listener that answers every connection with fixed bytes."""
+
+    def __init__(self, reply: bytes) -> None:
+        self._sock = socket.create_server(("127.0.0.1", 0))
+        self._sock.settimeout(0.1)
+        self._reply = reply
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._sock.getsockname()[1]}"
+
+    def _serve(self) -> None:
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                continue
+            with conn:
+                conn.settimeout(1.0)
+                try:
+                    conn.recv(65536)
+                    conn.sendall(self._reply)
+                except OSError:
+                    pass
+
+    def close(self) -> None:
+        self._closed.set()
+        self._thread.join(timeout=5)
+        self._sock.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"NOT-HTTP garbage\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n[]",
+], ids=["not-http", "not-utf8", "not-an-object"])
+def test_bad_health_reply_is_a_missed_heartbeat(tmp_path, reply):
+    """A worker whose /healthz answers garbage is declared dead after
+    ``heartbeat_miss_limit`` polls; the heartbeat keeps running and the
+    router still stops cleanly."""
+    listener = RawListener(reply)
+    sut = RouterThread(tmp_path)
+    try:
+        sut.register("garbage", listener.url)
+        deadline = time.monotonic() + 15
+        while sut.router.stats()["workers"]["garbage"]["alive"]:
+            assert time.monotonic() < deadline, "never declared dead"
+            time.sleep(0.05)
+        stats = sut.router.stats()
+        assert stats["workers_died"] == 1.0
+        assert stats["workers"]["garbage"]["misses"] == (
+            sut.router.heartbeat_miss_limit
+        )
+        assert not sut.router._heartbeat.done()
+        sut.run(sut.router.stop())
+    finally:
+        sut.close()
+        listener.close()
 
 
 def test_heartbeat_declares_dead_and_steals_journal(sut, tmp_path,

@@ -10,7 +10,7 @@ import pytest
 from repro import baseline_config
 from repro.harness import cache_stats, configure, run_sim, run_sims_parallel
 from repro.harness.diskcache import DiskCache, cache_key
-from repro.harness.runner import clear_cache, result_store
+from repro.harness.runner import Runner, clear_cache
 from repro.sim.results import SimulationResult
 
 
@@ -234,44 +234,47 @@ class TestSimulatorVersion:
         subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def _in_memory(config, app):
-    """Whether the runner's memory tier holds ``app``'s SMALL on_touch run."""
-    return cache_key(config, app, "on_touch", 4.0, 0, {}) in result_store()
+def _in_memory(runner, config, app):
+    """Whether ``runner``'s memory tier holds ``app``'s SMALL on_touch run."""
+    return cache_key(config, app, "on_touch", 4.0, 0, {}) in runner.results
+
+
+@pytest.fixture
+def bounded(tmp_path):
+    """A runner whose memory tier holds two results."""
+    return Runner(cache_dir=str(tmp_path / "cache"), cache_size=2)
 
 
 class TestBoundedMemoryCache:
-    def test_lru_cap_evicts_oldest(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
+    def test_lru_cap_evicts_oldest(self, config, bounded):
         for app in ("mm", "st", "i2c"):
-            run_sim(config, app, "on_touch", **SMALL)
-        stats = cache_stats()
+            bounded.run_sim(config, app, "on_touch", **SMALL)
+        stats = bounded.cache_stats()
         assert stats["size"] == 2
         assert stats["capacity"] == 2
         assert stats["evictions"] == 1
-        assert [_in_memory(config, app) for app in ("mm", "st", "i2c")] == [
-            False, True, True,
-        ]
+        assert [
+            _in_memory(bounded, config, app) for app in ("mm", "st", "i2c")
+        ] == [False, True, True]
 
-    def test_pool_results_respect_the_cap(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
+    def test_pool_results_respect_the_cap(self, config, bounded):
         results = run_sims_parallel(
             [(config, app, "on_touch", SMALL) for app in ("mm", "st", "i2c")],
-            jobs=2,
+            jobs=2, runner=bounded,
         )
         assert all(isinstance(r, SimulationResult) for r in results)
-        stats = cache_stats()
+        stats = bounded.cache_stats()
         assert stats["size"] == 2
         assert stats["evictions"] == 1
 
-    def test_hit_refreshes_recency(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
-        run_sim(config, "mm", "on_touch", **SMALL)
-        run_sim(config, "st", "on_touch", **SMALL)
-        run_sim(config, "mm", "on_touch", **SMALL)  # refresh mm
-        run_sim(config, "i2c", "on_touch", **SMALL)  # evicts st
-        assert [_in_memory(config, app) for app in ("mm", "st", "i2c")] == [
-            True, False, True,
-        ]
+    def test_hit_refreshes_recency(self, config, bounded):
+        bounded.run_sim(config, "mm", "on_touch", **SMALL)
+        bounded.run_sim(config, "st", "on_touch", **SMALL)
+        bounded.run_sim(config, "mm", "on_touch", **SMALL)  # refresh mm
+        bounded.run_sim(config, "i2c", "on_touch", **SMALL)  # evicts st
+        assert [
+            _in_memory(bounded, config, app) for app in ("mm", "st", "i2c")
+        ] == [True, False, True]
 
     def test_cache_stats_counts(self, config):
         run_sim(config, "mm", "on_touch", **SMALL)

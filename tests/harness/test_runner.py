@@ -10,6 +10,7 @@ from repro.harness import (
     run_sims_parallel,
     speedup_table,
 )
+from repro.harness.runner import Runner
 
 
 @pytest.fixture(autouse=True)
@@ -83,3 +84,37 @@ class TestSpeedupTable:
             footprint_mb={"mm": 4.0},
         )
         assert rows[0][1] == pytest.approx(1.0)
+
+
+class TestRunnerIsolation:
+    def test_runners_on_different_dirs_share_no_result(self, config,
+                                                       tmp_path):
+        one = Runner(cache_dir=str(tmp_path / "one"))
+        two = Runner(cache_dir=str(tmp_path / "two"))
+        one.run_sim(config, "mm", "on_touch", **SMALL)
+        assert one.cache_stats()["misses"] == 1
+        two.run_sim(config, "mm", "on_touch", **SMALL)
+        # Neither tier of ``two`` saw ``one``'s run: a cold simulation.
+        assert two.cache_stats()["misses"] == 1
+        assert two.cache_stats()["disk_hits"] == 0
+        assert list((tmp_path / "one").rglob("*.json"))
+        assert list((tmp_path / "two").rglob("*.json"))
+
+    def test_own_runner_leaves_the_default_untouched(self, config,
+                                                     tmp_path):
+        run_sim(config, "st", "on_touch", **SMALL)
+        before = cache_stats()
+        own = Runner(2, cache_dir=str(tmp_path / "own"))
+        run_sims_parallel([(config, "mm", "on_touch", SMALL)], runner=own)
+        assert own.last_sweep["cache"]["misses"] == 1
+        assert cache_stats() == before
+
+    def test_fresh_runner_on_same_settings_reads_the_disk(self, config,
+                                                          tmp_path):
+        first = Runner(cache_dir=str(tmp_path / "cache"))
+        result = first.run_sim(config, "mm", "on_touch", **SMALL)
+        again = Runner.from_settings(first.settings())
+        assert again.cache_stats()["size"] == 0  # memory gone ...
+        reread = again.run_sim(config, "mm", "on_touch", **SMALL)
+        assert again.cache_stats()["disk_hits"] == 1  # ... disk survives
+        assert reread.to_dict() == result.to_dict()

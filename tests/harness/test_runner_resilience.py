@@ -7,6 +7,9 @@ entry per request — retried results or structured RunFailures, never an
 exception.
 """
 
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.harness import (
@@ -19,10 +22,12 @@ from repro.harness import (
 )
 from repro.harness.runner import (
     DEFAULT_RETRY_BACKOFF_MAX_S,
-    _apply_runner_config,
+    Runner,
+    RunnerSettings,
     _backoff_delay,
     _normalize_request,
-    _runner_config,
+    _worker,
+    _worker_runner,
 )
 from repro.sim.results import SimulationResult
 
@@ -246,34 +251,58 @@ class TestFailureRendering:
         assert "2 attempt(s)" in text
 
 
-class TestWorkerConfigPassthrough:
-    def test_snapshot_round_trips(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "17")
-        configure(jobs=3, cache_dir=str(tmp_path / "elsewhere"))
-        snapshot = _runner_config()
-        assert snapshot == {
-            "jobs": 3,
-            "disk_enabled": True,
-            "disk_root": str(tmp_path / "elsewhere"),
-            "cache_size": 17,
-            "memo_enabled": False,
-            "memo_dir": None,
-        }
-        # A spawned worker starts from defaults; applying the snapshot
-        # must reproduce the parent's runner state exactly.
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "1")
-        configure(jobs=1, disk_cache=False)
-        _apply_runner_config(snapshot)
-        assert _runner_config() == snapshot
+def _worker_settings(settings):
+    """Pool-side probe: the settings of the runner a worker computes on."""
+    return _worker_runner(settings).settings()
 
-    def test_disk_cache_disabled_round_trips(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNNER_CACHE_SIZE", raising=False)
-        configure(jobs=2, disk_cache=False)
-        snapshot = _runner_config()
-        assert snapshot["disk_enabled"] is False
-        assert snapshot["disk_root"] is None
-        _apply_runner_config(snapshot)
-        assert _runner_config() == snapshot
+
+class TestWorkerConfigPassthrough:
+    def test_snapshot_round_trips(self, tmp_path):
+        parent = Runner(3, cache_dir=str(tmp_path / "elsewhere"),
+                        cache_size=17)
+        settings = parent.settings()
+        assert settings == RunnerSettings(
+            jobs=3,
+            cache_dir=str(tmp_path / "elsewhere"),
+            cache_size=17,
+            memo=False,
+            memo_dir=None,
+        )
+        # A spawned worker starts from defaults; a runner built from the
+        # pickled settings must reproduce the parent's runner exactly.
+        shipped = pickle.loads(pickle.dumps(settings))
+        assert Runner.from_settings(shipped).settings() == settings
+
+    def test_disk_cache_disabled_round_trips(self):
+        settings = Runner(2, disk_cache=False).settings()
+        assert settings.cache_dir is None
+        assert Runner.from_settings(settings).settings() == settings
+
+    def test_memo_settings_round_trip(self, tmp_path):
+        settings = Runner(memo_dir=str(tmp_path / "memo")).settings()
+        assert settings.memo is True
+        assert settings.memo_dir == str(tmp_path / "memo")
+        assert Runner.from_settings(settings).settings() == settings
+
+    def test_pool_workers_keep_parent_dir_and_bound(self, tmp_path):
+        settings = Runner(2, cache_dir=str(tmp_path / "shared"),
+                          cache_size=3).settings()
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            first = pool.submit(_worker_settings, settings).result()
+            again = pool.submit(_worker_settings, settings).result()
+        assert first == again == settings
+
+    def test_worker_reuses_one_runner_across_tasks(self, config, tmp_path):
+        settings = Runner(cache_dir=str(tmp_path / "cache"),
+                          cache_size=5).settings()
+        spec = _normalize_request((config, "mm", "on_touch", SMALL))
+        _worker((spec, settings))
+        worker = _worker_runner(settings)
+        assert worker.cache_stats()["misses"] == 1
+        _worker((spec, settings))
+        assert _worker_runner(settings) is worker
+        assert worker.cache_stats()["hits"] == 1
+        assert worker.cache_stats()["capacity"] == 5
 
     def test_workers_see_parent_disk_cache(self, config, tmp_path):
         # The workers must write results into the parent's configured

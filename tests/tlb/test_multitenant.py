@@ -90,7 +90,7 @@ class TestStatsConservation:
             page = int(rng.integers(0, 64)) + (
                 128 if rng.integers(0, 2) else 0
             )
-            tlb.translate(page)
+            tlb.translate_fast(page)
         assert tlb.l1.hits + tlb.l1.misses == tlb.l1.lookups
         assert tlb.l2.hits + tlb.l2.misses == tlb.l2.lookups
         assert tlb.l2.lookups == tlb.l1.misses
