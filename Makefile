@@ -35,7 +35,7 @@ verify-serve:
 	$(PYTHON) -m pytest tests/serve -q
 	$(PYTHON) benchmarks/bench_serve.py --smoke --verify
 
-# Sweep-fast-path verification: snapshot round-trip/corruption tests,
+# Phase-memo verification: snapshot round-trip/corruption tests,
 # the memoized-vs-cold differential lane on multi-phase apps, and the
 # ~60s memoized-sweep smoke (speedup > 1.5x, zero golden-digest drift).
 # The memo lane also runs inside verify-sim's full differential pass.

@@ -39,7 +39,7 @@ def _write_trajectory(experiment, cache_before, memo_before):
                 name: memo_after[name] - memo_before[name]
                 for name in (
                     "hits", "misses", "stores", "snapshot_bytes",
-                    "resumed_phases", "prefix_forks",
+                    "resumed_phases",
                 )
             },
         },

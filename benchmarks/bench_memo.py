@@ -1,4 +1,4 @@
-"""Sweep fast path benchmark: memoized vs cold wall clock + digest drift.
+"""Phase-memo benchmark: memoized vs cold wall clock + digest drift.
 
 Times the same policy sweep three ways — cold (memo off), populate
 (memo on, empty store) and warm (memo on, populated store) — asserts
@@ -100,8 +100,7 @@ def main(argv=None) -> int:
     pop_memo = pop_summary["memo"]
     warm_memo = warm_summary["memo"]
     print(f"  populate: {pop_memo['stores']} snapshots "
-          f"({pop_memo['snapshot_bytes'] / 1e6:.1f} MB), "
-          f"{pop_memo['prefix_forks']} prefix forks")
+          f"({pop_memo['snapshot_bytes'] / 1e6:.1f} MB)")
     print(f"  warm: {warm_memo['hits']} hits / {warm_memo['misses']} "
           f"misses, {warm_memo['resumed_phases']} phases resumed")
 

@@ -9,8 +9,8 @@ Environment knobs:
 * ``REPRO_BENCH_APPS`` — comma-separated subset of applications (e.g.
   ``mm,st,bfs``) for quick smoke runs; default is all eleven.
 * ``REPRO_BENCH_NO_CACHE`` — set to disable the persistent result cache.
-* ``REPRO_BENCH_NO_MEMO`` — set to disable the sweep fast path
-  (phase-prefix snapshot memoization; on by default, see
+* ``REPRO_BENCH_NO_MEMO`` — set to disable the phase memo
+  (per-run resume snapshots; on by default, see
   :mod:`repro.sim.sweep`).
 
 Simulation results are memoized per process (see
@@ -81,9 +81,9 @@ def persistent_result_cache():
     memo = memo_stats()
     if memo["enabled"]:
         print(
-            f"[sweep fast path: {memo['hits']} snapshot hits / "
-            f"{memo['misses']} misses, {memo['prefix_forks']} prefix "
-            f"forks, {memo['resumed_phases']} phases resumed]"
+            f"[phase memo: {memo['hits']} snapshot hits / "
+            f"{memo['misses']} misses, "
+            f"{memo['resumed_phases']} phases resumed]"
         )
 
 

@@ -3,9 +3,9 @@
 Runs through the cached harness runner, so repeated sweeps reuse the
 persistent result store and independent runs spread across worker
 processes (``--jobs N``; ``--no-cache`` disables the disk cache).  The
-sweep fast path (phase-prefix snapshot memoization, see
-``repro.sim.sweep``) is on by default — ``--no-memo`` disables it,
-``--memo-dir DIR`` persists the snapshots so later sweeps resume across
+phase memo (per-run resume snapshots, see ``repro.sim.sweep``) is on by
+default — ``--no-memo`` disables it, ``--memo-dir DIR`` persists the
+snapshots so a later sweep that re-simulates a run resumes it across
 processes.
 """
 import argparse
@@ -45,7 +45,6 @@ def main(argv=None):
     memo = memo_stats()
     if memo["enabled"]:
         print(f"[memo {memo['hits']}h/{memo['misses']}m  "
-              f"{memo['prefix_forks']} forks  "
               f"{memo['resumed_phases']} phases resumed  "
               f"{memo['snapshot_bytes'] / 1e6:.1f} MB]")
 

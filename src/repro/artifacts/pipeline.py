@@ -191,7 +191,7 @@ def run_pipeline(
             land (default ``results/``).
         cache_dir: persistent result-store directory (default: the
             repo store under ``results/cache``).
-        no_cache / no_memo: disable the disk cache / sweep fast path.
+        no_cache / no_memo: disable the disk cache / phase memo.
         fresh: ignore (and truncate) a previous run's ``metrics.jsonl``
             instead of resuming from it.
         docs: force EXPERIMENTS.md regeneration on/off; ``None`` = only
@@ -498,7 +498,7 @@ def add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true", dest="no_cache",
                         help="skip the persistent result cache")
     parser.add_argument("--no-memo", action="store_true", dest="no_memo",
-                        help="disable the sweep fast path")
+                        help="disable the phase memo")
     parser.add_argument("--docs", action="store_true", default=None,
                         help="regenerate EXPERIMENTS.md even for "
                              "subset/smoke runs")

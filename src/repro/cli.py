@@ -211,7 +211,7 @@ def _configure_runner(args) -> None:
 
     kwargs = {}
     if hasattr(args, "no_memo"):
-        # Sweep-style commands run the sweep fast path by default
+        # Sweep-style commands run the phase memo by default
         # (--no-memo opts out); --memo-dir adds a persistent snapshot
         # tier on top of the in-memory one.
         kwargs["memo"] = not args.no_memo
@@ -314,9 +314,9 @@ def cmd_sweep(args) -> int:
 
     memo = memo_stats()
     if memo["enabled"]:
-        print(f"\nsweep fast path: {memo['hits']} snapshot hits, "
-              f"{memo['misses']} misses, {memo['prefix_forks']} prefix "
-              f"forks, {memo['resumed_phases']} phases resumed, "
+        print(f"\nphase memo: {memo['hits']} snapshot hits, "
+              f"{memo['misses']} misses, "
+              f"{memo['resumed_phases']} phases resumed, "
               f"{memo['snapshot_bytes'] / 1e6:.1f} MB stored"
               + (f", {memo['corrupt']} quarantined"
                  if memo["corrupt"] else ""))
@@ -791,8 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--no-cache", action="store_true", dest="no_cache",
                      help="skip the persistent result cache")
     swp.add_argument("--no-memo", action="store_true", dest="no_memo",
-                     help="disable the sweep fast path (phase-prefix "
-                          "snapshot memoization; on by default)")
+                     help="disable the phase memo (per-run resume "
+                          "snapshots; on by default)")
     swp.add_argument("--memo-dir", default=None, dest="memo_dir",
                      metavar="DIR",
                      help="persist phase snapshots under DIR so later "

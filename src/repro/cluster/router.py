@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from http.client import HTTPException
 from urllib.parse import urlparse
 
-from repro import POLICY_FACTORIES, baseline_config
+from repro import baseline_config
 from repro.config import SystemConfig
 from repro.cluster.ring import DEFAULT_VNODES, EmptyRingError, HashRing
 from repro.harness.diskcache import DiskCache, Store
@@ -75,7 +75,6 @@ from repro.serve.service import (
     JobSpec,
     await_shutdown,
 )
-from repro.workloads import APPLICATIONS
 
 #: Fraction of the forwarding window each lane may occupy before the
 #: router sheds it.  ``interactive`` is never shed below the hard cap;
@@ -385,10 +384,7 @@ class ClusterRouter:
 
     def _resolve(self, payload: dict) -> tuple[JobSpec, str]:
         spec = JobSpec.from_dict(payload)
-        if spec.app not in APPLICATIONS:
-            raise ValueError(f"unknown app {spec.app!r}")
-        if spec.policy not in POLICY_FACTORIES:
-            raise ValueError(f"unknown policy {spec.policy!r}")
+        spec.validate()
         return spec, spec.key(spec.resolve_config(self.config))
 
     def route(self, payload: dict) -> dict:

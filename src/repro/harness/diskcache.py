@@ -483,6 +483,12 @@ class Store:
         if corrupt and self.disk is not None:
             self.disk.quarantine(key, self.kind)
 
+    def add_counts(self, **counts: int) -> None:
+        """Add counter movement another process's store observed."""
+        with self._lock:
+            for name, value in counts.items():
+                setattr(self, name, getattr(self, name) + value)
+
     def _insert(self, key: str, value) -> None:
         size = 0
         if self.max_bytes is not None:

@@ -55,7 +55,7 @@ from repro.config import SystemConfig
 from repro.harness.diskcache import DISK_COUNTERS, DiskCache, Store, cache_key
 from repro.harness.report import geomean
 from repro.sim import SimulationResult, simulate
-from repro.sim.sweep import PhaseMemo
+from repro.sim.sweep import COUNTERS as MEMO_COUNTERS, PhaseMemo
 from repro.workloads import get_workload
 
 #: Default cap on in-process memoized results.
@@ -72,16 +72,6 @@ _STAT_NAMES = (
     # Request slots served from / missing the memory tier (a disk hit
     # counts as a miss: the run was not in memory).
     "hits", "misses", "run_retries", "pool_failures",
-    # Phase-memo counters merged back from worker processes; the serial
-    # path's counters live on the runner's own PhaseMemo, so
-    # :meth:`Runner.memo_stats` sums both (the sources are disjoint).
-    "memo_hits", "memo_misses", "memo_stores", "memo_snapshot_bytes",
-    "memo_resumed_phases", "memo_corrupt", "memo_io_errors",
-)
-#: Scalar memo counters shipped as per-run deltas from pool workers.
-_MEMO_DELTA_KEYS = (
-    "hits", "misses", "stores", "snapshot_bytes",
-    "resumed_phases", "corrupt", "io_errors",
 )
 #: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
 _CHAOS = None
@@ -164,8 +154,8 @@ class Runner:
             disk_cache: enable/disable the persistent result store.
             cache_dir: directory for the persistent store (implies enabling
                 it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
-            memo: enable/disable the sweep fast path (phase-prefix snapshot
-                memoization; see :mod:`repro.sim.sweep`).  Off by default
+            memo: enable/disable the phase memo (per-run resume
+                snapshots; see :mod:`repro.sim.sweep`).  Off by default
                 (``REPRO_MEMO=1`` enables it on the process-default
                 runner); the sweep CLI turns it on for sweeps unless
                 ``--no-memo`` is given.
@@ -230,27 +220,16 @@ class Runner:
         }
 
     def memo_stats(self) -> dict:
-        """Sweep-fast-path counters, all sources combined.
-
-        Serial runs count on this runner's :class:`PhaseMemo`; pool runs
-        ship per-run deltas back from their workers into :attr:`stats` —
-        the two sources are disjoint, so their sum is the total.
-        """
-        totals: dict = {
-            key: self.stats["memo_" + key] for key in _MEMO_DELTA_KEYS
-        }
-        totals.update(
-            {"prefix_forks": 0, "mem_entries": 0, "mem_bytes": 0}
-        )
+        """Phase-memo counters: this runner's :class:`PhaseMemo` counts
+        serial runs itself and adds the deltas pool workers ship back."""
         if self._memo is not None:
-            live = self._memo.stats()
-            for key in _MEMO_DELTA_KEYS:
-                totals[key] += live[key]
-            totals["prefix_forks"] = live["prefix_forks"]
-            totals["mem_entries"] = live["mem_entries"]
-            totals["mem_bytes"] = live["mem_bytes"]
-        totals["enabled"] = self._memo_enabled
-        return totals
+            stats = self._memo.stats()
+        else:
+            stats = dict.fromkeys(
+                (*MEMO_COUNTERS, "mem_entries", "mem_bytes"), 0
+            )
+        stats["enabled"] = self._memo_enabled
+        return stats
 
     def publish_memo_metrics(self, registry) -> None:
         """Publish :meth:`memo_stats` as gauges on an obs registry.
@@ -294,13 +273,7 @@ class Runner:
             app, config, footprint_mb=spec["footprint_mb"], seed=spec["seed"]
         )
         memo = self.memo_store()
-        session = None
-        if memo is not None:
-            session = memo.session(
-                config, app, policy,
-                footprint_mb=spec["footprint_mb"], seed=spec["seed"],
-                policy_kwargs=spec["policy_kwargs"], key=key,
-            )
+        session = memo.session(key) if memo is not None else None
         result = simulate(
             config, trace, make_policy(policy, **spec["policy_kwargs"]),
             memo=session,
@@ -364,7 +337,7 @@ def last_sweep_summary() -> dict | None:
           "memo": {"enabled": True, "hits": 6, "misses": 2,
                    "stores": 14, "snapshot_bytes": 5242880,
                    "resumed_phases": 38, "corrupt": 0,
-                   "prefix_forks": 3},
+                   "io_errors": 0},
           "wall_clock_s": {"total": 3.2,
                            "per_run": {"st/oasis": 0.41, ...}},
           "counters": {"fault.page": ..., "migration.count": ..., ...},
@@ -506,9 +479,8 @@ def _worker(payload: tuple) -> tuple:
     """Pool entry point: run one spec, ship back (result, memo delta).
 
     Workers are long-lived, so memo counters accumulate across the runs
-    one worker computes; the delta (this run's counter movement plus the
-    lane records drained since the last run) is what the parent merges,
-    keeping the sweep's global accounting double-count-free.
+    one worker computes; the delta is this run's counter movement, which
+    the parent adds into its own :class:`PhaseMemo`.
     """
     spec, settings = payload
     runner = _worker_runner(settings)
@@ -516,29 +488,10 @@ def _worker(payload: tuple) -> tuple:
     memo = runner.memo_store()
     before = memo.stats() if memo is not None else None
     result = _run_spec(runner, spec)
-    delta = None
-    if memo is not None:
-        after = memo.stats()
-        delta = {
-            "counters": {
-                key: after[key] - before[key] for key in _MEMO_DELTA_KEYS
-            },
-            "lanes": memo.lanes.drain(),
-        }
-    return result, delta
-
-
-def _merge_memo_delta(runner: Runner, delta: dict | None) -> None:
-    """Fold one worker run's memo delta into the parent's accounting."""
-    if not delta:
-        return
-    for key, value in delta["counters"].items():
-        runner.stats["memo_" + key] += value
-    memo = runner.memo_store()
-    if memo is not None and delta["lanes"]:
-        # Replaying through the parent's lanes recomputes shared-prefix
-        # and fork accounting against the sweep-global cohort state.
-        memo.lanes.replay(delta["lanes"])
+    if memo is None:
+        return result, None
+    after = memo.stats()
+    return result, {key: after[key] - before[key] for key in MEMO_COUNTERS}
 
 
 def _failure_from(spec: dict, attempts: int, exc: BaseException | None,
@@ -692,7 +645,8 @@ def _drain_pool(
                                 spec, attempts[key], exc
                             )
                         continue
-                    _merge_memo_delta(runner, memo_delta)
+                    if memo_delta is not None:
+                        runner.memo_store().merge(memo_delta)
                     fresh[key] = result
                     timings[key] = time.monotonic() - started
                 now = time.monotonic()
@@ -900,17 +854,13 @@ def run_sims_parallel(
             name: stats[name] - stats_before[name]
             for name in ("hits", "misses", "run_retries", "pool_failures")
         },
-        # Sweep fast path accounting, as a delta over this sweep only —
+        # Phase-memo accounting, as a delta over this sweep only —
         # served and CLI sweeps read the same numbers from here.
         "memo": {
             "enabled": memo_after["enabled"],
             **{
                 name: memo_after[name] - memo_before[name]
-                for name in (
-                    "hits", "misses", "stores", "snapshot_bytes",
-                    "resumed_phases", "corrupt", "io_errors",
-                    "prefix_forks",
-                )
+                for name in MEMO_COUNTERS
             },
         },
         "wall_clock_s": {

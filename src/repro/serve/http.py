@@ -93,22 +93,32 @@ class ServeHttpServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: One task per open connection, so :meth:`stop` can end them.
+        self._handlers: set[asyncio.Task] = set()
 
     async def start(self) -> None:
         """Start the service (if needed) and begin accepting requests."""
         if not self.service.running:
             await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._accept, self.host, self.port
         )
         # Resolve port 0 to the kernel-assigned ephemeral port.
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, cancel and await every open connection's
+        handler, then stop the service."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()
+        for task in handlers:
+            await await_shutdown(task, "connection handler")
+        if server is not None:
+            await server.wait_closed()
         await self.service.stop()
 
     async def serve_forever(self) -> None:
@@ -116,6 +126,14 @@ class ServeHttpServer:
         await self._server.serve_forever()
 
     # -- request handling --------------------------------------------------
+
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        task = asyncio.get_running_loop().create_task(
+            self._handle(reader, writer)
+        )
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
@@ -135,15 +153,14 @@ class ServeHttpServer:
                     500, {"error": f"{type(exc).__name__}: {exc}"}
                 ))
             await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except ConnectionError:
             pass
         finally:
-            # RuntimeError: the hosting loop may already be closed when a
-            # streaming handler is torn down at shutdown.
+            # RuntimeError: the hosting loop may already be closed.
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError, RuntimeError):
+            except (ConnectionError, RuntimeError):
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
@@ -259,7 +276,7 @@ class ServeHttpServer:
                 event = await queue.get()
                 writer.write((json.dumps(event, sort_keys=True) + "\n").encode())
                 await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except ConnectionError:
             pass
         finally:
             self.service.unsubscribe(queue)

@@ -58,6 +58,8 @@ from repro.obs import MetricsRegistry, MetricsSnapshot, RecordingTracer
 from repro.obs.export import prometheus_multi
 from repro.serve.journal import JobJournal, JournalError
 from repro.sim import SimulationResult
+from repro.sim.sweep import COUNTERS as MEMO_COUNTERS
+from repro.tenancy.mix import parse_mix
 from repro.workloads import APPLICATIONS
 
 #: Priority lanes, lowest number dispatched first.
@@ -153,6 +155,19 @@ class JobSpec:
         spec.policy_kwargs = dict(payload.get("policy_kwargs") or {})
         spec.config_kwargs = dict(payload.get("config_kwargs") or {})
         return spec
+
+    def validate(self) -> None:
+        """Refuse (:class:`ValueError`) an unknown policy, or an app that
+        is neither a registry app nor a mix (``c2d+st``) of them."""
+        if "+" in self.app:
+            apps = [tenant.app for tenant in parse_mix(self.app).tenants]
+        else:
+            apps = [self.app]
+        for app in apps:
+            if app not in APPLICATIONS:
+                raise ValueError(f"unknown app {app!r}")
+        if self.policy not in POLICY_FACTORIES:
+            raise ValueError(f"unknown policy {self.policy!r}")
 
     def resolve_config(self, base: SystemConfig) -> SystemConfig:
         if not self.config_kwargs:
@@ -668,10 +683,7 @@ class SimulationService:
             raise ValueError(f"unknown lane {lane!r}; known: {sorted(LANES)}")
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec)
-        if spec.app not in APPLICATIONS:
-            raise ValueError(f"unknown app {spec.app!r}")
-        if spec.policy not in POLICY_FACTORIES:
-            raise ValueError(f"unknown policy {spec.policy!r}")
+        spec.validate()
         config = spec.resolve_config(self.config)
         key = spec.key(config)
         self.metrics.inc("serve.submitted")
@@ -837,10 +849,7 @@ class SimulationService:
                 self.metrics.set_gauge(
                     "serve.memo_enabled", float(bool(memo.get("enabled")))
                 )
-                for name in (
-                    "hits", "misses", "stores", "snapshot_bytes",
-                    "resumed_phases", "corrupt", "io_errors", "prefix_forks",
-                ):
+                for name in MEMO_COUNTERS:
                     self.metrics.inc(
                         f"serve.memo_{name}", float(memo.get(name, 0))
                     )

@@ -454,8 +454,6 @@ class Machine:
                 verifier.after_phase(self, index, replayed)
             if memo is not None:
                 memo.after_phase(self, index, now, phases)
-        if memo is not None:
-            memo.finish(self)
         if tracing:
             tracer.finish(now)
         if self._obs_on:

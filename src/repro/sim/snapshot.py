@@ -1,37 +1,35 @@
-"""Phase-boundary machine snapshots for prefix memoization.
+"""Phase-boundary machine snapshots for the per-run phase memo.
 
 A simulation is a deterministic fold over its trace's phases: the machine
 state at any phase boundary is a pure function of (config, trace prefix,
-policy identity and the decisions it made so far).  This module gives
-that prefix a content-addressed name and serializes the machine state at
-selected boundaries, so a later run sharing the prefix resumes from the
-snapshot instead of re-simulating it (see
-:class:`repro.sim.sweep.PhaseMemo` for the store and
-``docs/MODEL.md`` §12 for the key construction and fork rule).
+policy identity).  This module gives that prefix a content-addressed
+name and serializes the machine state at selected boundaries, so the
+same run, simulated again, resumes from the snapshot instead of
+re-simulating the prefix (see :class:`repro.sim.sweep.PhaseMemo` for the
+store and ``docs/MODEL.md`` §12 for the key construction).
 
-The prefix key chains three ingredients:
+The phase key chains two ingredients:
 
 * the **run identity** — the same content hash the result cache uses
   (:func:`repro.harness.diskcache.cache_key`: simulator version, replay
   path, full config, app, footprint, seed, policy + canonical kwargs);
 * the **trace prefix** — a rolling sha256 over each phase's record
   arrays plus the object table (:func:`trace_prefix_chain`), so a
-  workload-generator change can never resurrect a stale snapshot;
-* the **decision prefix** — a sha256 per boundary over the page tables'
-  placement state (owner / copies / mapped / writable / policy bits,
-  :func:`decision_digest`).  Determinism makes it implied by the first
-  two ingredients, so it is carried *inside* the snapshot and verified
-  on restore (an integrity check, and the divergence signal the sweep
-  layer's fork accounting reads) rather than mixed into the lookup key.
+  workload-generator change can never resurrect a stale snapshot.
+
+Each snapshot also carries one **decision digest** — a sha256 over the
+page tables' placement state at its boundary (owner / copies / mapped /
+writable / policy bits, :func:`decision_digest`) — which restore
+recomputes from the revived tables as an integrity check.
 
 Serialization is a single :mod:`pickle` graph over the machine's mutable
 components; back-references to the immutable scaffolding (the machine
 itself, its config, trace, objects, tracer) are swapped for persistent-id
 tokens so they re-bind to the *resuming* machine's instances on load.
 A snapshot that fails any validation — unpicklable, wrong version or
-index, chain length mismatch, decision digest mismatch — raises
-:class:`SnapshotError` before the machine is touched; the caller
-quarantines it and falls back to cold replay.
+index, decision digest mismatch — raises :class:`SnapshotError` before
+the machine is touched; the caller quarantines it and falls back to cold
+replay.
 """
 
 from __future__ import annotations
@@ -51,7 +49,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bump whenever the snapshot payload layout or any captured component's
 #: state shape changes; old snapshots become unreachable (and harmless).
 #: v2: TLBs carry a ``lookups`` counter, the driver a ``tenancy`` ref.
-SNAPSHOT_VERSION = 2
+#: v3: one decision digest per snapshot in place of a per-phase chain.
+SNAPSHOT_VERSION = 3
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes
@@ -121,8 +120,8 @@ def decision_digest(page_tables) -> str:
 
     Hashes the page tables' five numpy mirrors (owner, copy / mapped /
     writable masks, policy bits) — the complete observable outcome of
-    the policy's placement decisions, which is what two runs must agree
-    on phase-for-phase to share a lane.
+    the policy's placement decisions, which a restored snapshot must
+    reproduce exactly.
     """
     views = page_tables.bulk_views()
     h = hashlib.sha256()
@@ -226,12 +225,13 @@ class _SnapshotUnpickler(pickle.Unpickler):
 
 
 def capture(machine: "Machine", index: int, now: float, phases: list,
-            chain: list) -> bytes:
+            digest: str) -> bytes:
     """Serialize the machine state at the boundary after phase ``index``.
 
     Must be called at the quiescent point the run loop reaches after
     ``_do_frees`` — clocks synchronized, driver queue drained to ``now``
     — which is exactly the state the next iteration starts from.
+    ``digest`` is the boundary's :func:`decision_digest`.
     """
     pt = machine.page_tables
     # The numpy mirrors are derived state rebuilt on demand; dropping
@@ -242,7 +242,7 @@ def capture(machine: "Machine", index: int, now: float, phases: list,
             "version": SNAPSHOT_VERSION,
             "index": index,
             "now": now,
-            "chain": list(chain),
+            "digest": digest,
             "phases": list(phases),
             "clocks": list(machine.clocks),
             "stats": machine.stats,
@@ -269,7 +269,7 @@ def restore(machine: "Machine", blob: bytes,
 
     Every check runs before the machine is touched, so a failing
     snapshot leaves the machine pristine for cold replay.  Returns the
-    payload (``index`` / ``now`` / ``phases`` / ``chain``).
+    payload (``index`` / ``now`` / ``phases`` / ``digest``).
     """
     try:
         payload = _SnapshotUnpickler(io.BytesIO(blob), machine).load()
@@ -284,14 +284,11 @@ def restore(machine: "Machine", blob: bytes,
         raise SnapshotError(
             f"snapshot is for boundary {index}, expected {expect_index}"
         )
-    chain = payload.get("chain")
-    if not isinstance(chain, list) or len(chain) != index + 1:
-        raise SnapshotError("decision chain length mismatch")
     missing = [k for k in _COMPONENTS if k not in payload]
     if missing:
         raise SnapshotError(f"snapshot missing components: {missing}")
-    if decision_digest(payload["page_tables"]) != chain[-1]:
-        raise SnapshotError("decision-prefix digest mismatch")
+    if decision_digest(payload["page_tables"]) != payload.get("digest"):
+        raise SnapshotError("decision digest mismatch")
     machine.stats = payload["stats"]
     machine.page_tables = payload["page_tables"]
     machine.tlbs = payload["tlbs"]
@@ -312,22 +309,14 @@ def restore(machine: "Machine", blob: bytes,
 class MemoSession:
     """One run's binding to a :class:`~repro.sim.sweep.PhaseMemo`.
 
-    Created by :meth:`PhaseMemo.session` with the run's full identity
-    already hashed into ``base_key``; the machine drives it through
-    :meth:`resume` (once, before the phase loop), :meth:`after_phase`
-    (every boundary) and :meth:`finish` (after the loop).
+    Created by :meth:`PhaseMemo.session` with the run's result-cache key
+    as ``base_key``; the machine drives it through :meth:`resume` (once,
+    before the phase loop) and :meth:`after_phase` (every boundary).
     """
 
-    def __init__(self, memo, base_key: str, cohort_key: str,
-                 label: str) -> None:
+    def __init__(self, memo, base_key: str) -> None:
         self.memo = memo
         self.base_key = base_key
-        self.cohort_key = cohort_key
-        self.label = label
-        #: Decision digest per completed phase (preloaded on resume).
-        self.chain: list[str] = []
-        #: Phases skipped via snapshot resume (None = cold start).
-        self.resumed_at: int | None = None
         self._bounds: frozenset | None = None
         self._prefix: list[str] | None = None
 
@@ -363,8 +352,6 @@ class MemoSession:
             except SnapshotError:
                 self.memo.store.discard(key, corrupt=True)
                 continue
-            self.chain = list(payload["chain"])
-            self.resumed_at = n_done
             self.memo.note_hit(n_done)
             return n_done, payload["now"], list(payload["phases"])
         self.memo.note_miss()
@@ -372,19 +359,11 @@ class MemoSession:
 
     def after_phase(self, machine: "Machine", index: int, now: float,
                     phases: list) -> None:
-        """Record phase ``index``'s decision digest; snapshot if selected."""
+        """Snapshot the boundary after phase ``index`` if it is selected
+        and not stored yet."""
         self._setup(machine.trace)
-        self.chain.append(decision_digest(machine.page_tables))
         if index in self._bounds:
             key = self._key(index + 1)
             if not self.memo.store.has(key):
-                self.memo.put(
-                    key, capture(machine, index, now, phases, self.chain)
-                )
-
-    def finish(self, machine: "Machine") -> None:
-        """Register the completed decision chain for lane/fork accounting."""
-        self.memo.lanes.record(
-            self.cohort_key, self.label, self.chain,
-            resumed_phases=self.resumed_at or 0,
-        )
+                digest = decision_digest(machine.page_tables)
+                self.memo.put(key, capture(machine, index, now, phases, digest))

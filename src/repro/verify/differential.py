@@ -6,7 +6,7 @@ harness pool vs in-process serial execution, the two-level result cache
 vs a fresh computation, an observed (traced/metered) run vs an
 unobserved one, a fault-injected run that mixes fast phases with the
 forced-slow tail, and a snapshot-resumed run vs a cold replay (the
-sweep fast path of :mod:`repro.sim.sweep`).  Each redundancy is
+phase memo of :mod:`repro.sim.sweep`).  Each redundancy is
 documented as *bit-identical*, so
 each one is a free oracle: run both sides and compare canonical digests.
 A mismatch means one of the paths silently diverged — the exact class of
@@ -260,18 +260,14 @@ def check_memoized_vs_cold(config, app: str, policy: str,
     must additionally have *hit* — a memo that silently stopped resuming
     would otherwise pass on the strength of the cold path alone.
     """
+    from repro.harness.diskcache import cache_key
     from repro.sim.sweep import PhaseMemo
 
     cold = _simulate(config, app, policy, seed)
     memo = PhaseMemo()
-    populate = _simulate(
-        config, app, policy, seed,
-        memo=memo.session(config, app, policy, seed=seed),
-    )
-    warm = _simulate(
-        config, app, policy, seed,
-        memo=memo.session(config, app, policy, seed=seed),
-    )
+    key = cache_key(config, app, policy, None, seed, {})
+    populate = _simulate(config, app, policy, seed, memo=memo.session(key))
+    warm = _simulate(config, app, policy, seed, memo=memo.session(key))
     label = f"{app}/{policy}"
     mismatches = (
         _compare("memo(populate)", label, cold, populate)

@@ -608,6 +608,43 @@ class FuzzFailure:
     command: str
 
 
+def _campaign(steps, seed, cases, budget_s, policies, stop_at,
+              on_case) -> dict:
+    """The fuzz loop of :func:`run_fuzz` and :func:`run_tenancy_fuzz`;
+    ``steps`` is their (generate, run, shrink, program, command)."""
+    generate, run, shrink, program, command = steps
+    if cases is None and budget_s is None:
+        cases = 50
+    started = time.monotonic()
+    ran = 0
+    failures: list[FuzzFailure] = []
+    while cases is None or ran < cases:
+        if budget_s is not None and time.monotonic() - started >= budget_s:
+            break
+        case = generate(seed + ran, policies=policies)
+        ran += 1
+        failure = run(case)
+        if on_case is not None:
+            on_case(case, failure)
+        if failure is None:
+            continue
+        shrunk = shrink(case, failure)
+        failures.append(FuzzFailure(
+            seed=shrunk.seed,
+            failure=run(shrunk) or failure,
+            n_records=shrunk.n_records,
+            program=program(shrunk),
+            command=command(shrunk),
+        ))
+        if len(failures) >= stop_at:
+            break
+    return {
+        "cases": ran,
+        "elapsed_s": time.monotonic() - started,
+        "failures": failures,
+    }
+
+
 def run_fuzz(
     seed: int = 0,
     *,
@@ -627,41 +664,10 @@ def run_fuzz(
     Returns ``{"cases": int, "elapsed_s": float,
     "failures": [FuzzFailure, ...]}``.
     """
-    if cases is None and budget_s is None:
-        cases = 50
-    started = time.monotonic()
-    ran = 0
-    failures: list[FuzzFailure] = []
-    index = 0
-    while True:
-        if cases is not None and ran >= cases:
-            break
-        if budget_s is not None and time.monotonic() - started >= budget_s:
-            break
-        case = generate_case(seed + index, policies=policies)
-        index += 1
-        ran += 1
-        failure = run_case(case)
-        if on_case is not None:
-            on_case(case, failure)
-        if failure is None:
-            continue
-        shrunk = shrink_case(case, failure)
-        final = run_case(shrunk) or failure
-        failures.append(FuzzFailure(
-            seed=shrunk.seed,
-            failure=final,
-            n_records=shrunk.n_records,
-            program=case_program(shrunk),
-            command=repro_command(shrunk),
-        ))
-        if len(failures) >= stop_at:
-            break
-    return {
-        "cases": ran,
-        "elapsed_s": time.monotonic() - started,
-        "failures": failures,
-    }
+    steps = (generate_case, run_case, shrink_case, case_program,
+             repro_command)
+    return _campaign(steps, seed, cases, budget_s, policies, stop_at,
+                     on_case)
 
 
 def run_tenancy_fuzz(
@@ -679,38 +685,7 @@ def run_tenancy_fuzz(
     failures are ddmin-shrunk (both halves) and reported as standalone
     two-builder programs.
     """
-    if cases is None and budget_s is None:
-        cases = 50
-    started = time.monotonic()
-    ran = 0
-    failures: list[FuzzFailure] = []
-    index = 0
-    while True:
-        if cases is not None and ran >= cases:
-            break
-        if budget_s is not None and time.monotonic() - started >= budget_s:
-            break
-        case = generate_tenant_case(seed + index, policies=policies)
-        index += 1
-        ran += 1
-        failure = run_tenant_case(case)
-        if on_case is not None:
-            on_case(case, failure)
-        if failure is None:
-            continue
-        shrunk = shrink_tenant_case(case, failure)
-        final = run_tenant_case(shrunk) or failure
-        failures.append(FuzzFailure(
-            seed=shrunk.seed,
-            failure=final,
-            n_records=shrunk.n_records,
-            program=tenant_case_program(shrunk),
-            command=tenant_repro_command(shrunk),
-        ))
-        if len(failures) >= stop_at:
-            break
-    return {
-        "cases": ran,
-        "elapsed_s": time.monotonic() - started,
-        "failures": failures,
-    }
+    steps = (generate_tenant_case, run_tenant_case, shrink_tenant_case,
+             tenant_case_program, tenant_repro_command)
+    return _campaign(steps, seed, cases, budget_s, policies, stop_at,
+                     on_case)

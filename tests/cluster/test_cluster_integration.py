@@ -123,7 +123,9 @@ def test_worker_kill_mid_burst_loses_no_acked_job(cluster):
         fp: cache_key(config, "mm", "on_touch", fp, 0, {})
         for fp in footprints
     }
-    for fp in footprints:
+    # The victim's jobs go last, so it still holds acked, unfinished work
+    # when it is killed: only the journal steal can then complete it.
+    for fp in sorted(footprints, key=lambda fp: routed[fp] == victim):
         job = client.submit_nowait("mm", "on_touch", footprint_mb=fp)
         assert job["status"] in ("queued", "running", "done")
     cluster.kill_worker(victim)

@@ -13,7 +13,7 @@ from repro import baseline_config
 from repro.chaos import ChaosPlan, ClusterChaos
 from repro.chaos.plan import WorkerKill
 from repro.harness.diskcache import cache_key
-from repro.serve.client import ServeClient, ServerBusy
+from repro.serve.client import ClientError, ServeClient, ServerBusy
 from repro.serve.journal import JobJournal
 
 from tests.cluster.conftest import RouterThread, StubWorker
@@ -54,6 +54,17 @@ def test_routing_affinity_matches_ring(sut, canned_result):
     finally:
         for stub in stubs.values():
             stub.close()
+
+
+def test_route_accepts_a_tenant_mix_and_refuses_unknown_tenants(sut):
+    client = _client(sut)
+    spec = {"app": "c2d+st", "policy": "oasis", "footprint_mb": 0.5}
+    assert client.post("/route", spec)["key"] == cache_key(
+        baseline_config(), "c2d+st", "oasis", 0.5, 0, {}
+    )
+    with pytest.raises(ClientError) as refused:
+        client.post("/route", {"app": "mm+nope", "policy": "oasis"})
+    assert refused.value.status == 400
 
 
 def test_repeat_submission_served_from_store_not_worker(sut, canned_result):

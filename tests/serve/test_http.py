@@ -1,11 +1,15 @@
 """ServeHttpServer: routes, status codes and payload shapes over TCP."""
 
+import asyncio
 import json
+import socket
 import time
 from http.client import HTTPConnection
 
 from repro import baseline_config
 from repro.harness import run_sim
+
+from tests.serve.conftest import ServerThread
 
 SMALL = {"app": "mm", "policy": "on_touch", "footprint_mb": 4.0}
 
@@ -94,6 +98,15 @@ def test_failed_run_maps_to_500_with_structured_failure(server):
     assert payload["job"]["status"] == "failed"
 
 
+def test_submit_accepts_a_tenant_mix(server):
+    """A mix of registry apps is served like the harness runs it."""
+    spec = {"app": "c2d+st", "policy": "oasis", "footprint_mb": 0.5}
+    status, _headers, body = raw(server.port, "POST", "/submit", spec)
+    assert status == 200, body
+    direct = run_sim(baseline_config(), "c2d+st", "oasis", footprint_mb=0.5)
+    assert json.loads(body)["result"] == direct.to_dict()
+
+
 def test_bad_requests(server):
     status, _h, body = raw(server.port, "POST", "/submit",
                            {"app": "mm", "policy": "nope"})
@@ -102,6 +115,11 @@ def test_bad_requests(server):
 
     status, _h, _b = raw(server.port, "POST", "/submit", b"{not json")
     assert status == 400
+
+    status, _h, body = raw(server.port, "POST", "/submit",
+                           {"app": "mm+nope", "policy": "oasis"})
+    assert status == 400
+    assert "unknown app" in json.loads(body)["error"]
 
     status, _h, _b = raw(server.port, "GET", "/jobs/job-999")
     assert status == 404
@@ -158,3 +176,32 @@ def test_task_failing_during_drain_is_reported_once(monkeypatch, capsys):
     assert "draining" in out.out
     assert out.err.count("serve listener failed during shutdown") == 1
     assert "RuntimeError: listener broke on teardown" in out.err
+
+
+async def _pending_handlers():
+    return [
+        task for task in asyncio.all_tasks()
+        if task.get_coro().__qualname__ == "ServeHttpServer._handle"
+        and not task.done()
+    ]
+
+
+def test_stop_ends_a_half_sent_request():
+    """A connection still sending its request when the server stops is
+    cancelled and awaited by stop(), not left pending on the loop."""
+    sut = ServerThread(jobs=1)
+    sock = socket.create_connection(("127.0.0.1", sut.port), timeout=10)
+    try:
+        sock.sendall(b"GET /heal")
+        deadline = time.monotonic() + 10.0
+        while not sut.run(_pending_handlers()):
+            assert time.monotonic() < deadline, "connection never accepted"
+            time.sleep(0.01)
+        sut.run(sut.server.stop())
+        assert sut.run(_pending_handlers()) == []
+    finally:
+        sock.close()
+        sut.loop.call_soon_threadsafe(sut.loop.stop)
+        sut.thread.join(timeout=10.0)
+        assert not sut.thread.is_alive()
+        sut.loop.close()

@@ -1,26 +1,31 @@
 """Snapshot round-trip determinism and corruption handling.
 
-The sweep fast path (``repro.sim.snapshot`` + ``repro.sim.sweep``)
-promises that a run resumed from a phase-boundary snapshot is
-byte-identical to a cold replay.  These tests hold it to that across
-the full workload registry against the pinned golden digests, and prove
-that a corrupted snapshot is quarantined and silently degrades to cold
-replay instead of crashing or corrupting the result.
+The phase memo (``repro.sim.snapshot`` + ``repro.sim.sweep``) promises
+that a run resumed from a phase-boundary snapshot is byte-identical to
+a cold replay.  These tests hold it to that across the full workload
+registry against the pinned golden digests, and prove that a corrupted
+snapshot is quarantined and silently degrades to cold replay instead of
+crashing or corrupting the result.
 """
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from repro import make_policy
 from repro.config import baseline_config
-from repro.harness.diskcache import DiskCache
-from repro.sim.machine import simulate
+from repro.harness.diskcache import DiskCache, cache_key
+from repro.sim.machine import Machine, simulate
 from repro.sim.snapshot import (
     MAX_SNAPSHOTS,
+    SnapshotError,
+    _SnapshotPickler,
+    _SnapshotUnpickler,
     phase_digest,
+    restore,
     snapshot_boundaries,
     trace_prefix_chain,
 )
@@ -43,7 +48,7 @@ def config():
 
 
 def _run(config, trace, app, policy, memo):
-    session = memo.session(config, app, policy, seed=0)
+    session = memo.session(cache_key(config, app, policy, None, 0, {}))
     return simulate(config, trace, make_policy(policy), memo=session)
 
 
@@ -124,6 +129,44 @@ def test_corrupt_snapshot_quarantined_and_cold_fallback(config, tmp_path):
     assert entry_for(third) == cold
 
 
+def test_digest_mismatch_refused_quarantined_and_cold_fallback(
+    config, tmp_path
+):
+    """A checksum-valid snapshot whose page tables no longer match its
+    stored decision digest is refused, quarantined, and replayed cold."""
+    app, policy = "c2d", "oasis"
+    trace = get_workload(app, config, seed=0)
+    cold = entry_for(simulate(config, trace, make_policy(policy)))
+
+    disk = DiskCache(tmp_path / "memo")
+    memo = PhaseMemo(disk=disk)
+    _run(config, trace, app, policy, memo)
+    keys = sorted(p.stem for p in (tmp_path / "memo" / "snap").rglob("*.json"))
+    assert keys
+
+    for key in keys:
+        machine = Machine(config, trace, make_policy(policy))
+        payload = _SnapshotUnpickler(
+            io.BytesIO(disk.load_blob(key)), machine
+        ).load()
+        # One placement decision the stored digest never saw.
+        payload["page_tables"]._policy[0] ^= 1
+        buf = io.BytesIO()
+        _SnapshotPickler(buf, machine).dump(payload)
+        tampered = buf.getvalue()
+        with pytest.raises(SnapshotError, match="digest mismatch"):
+            restore(Machine(config, trace, make_policy(policy)), tampered)
+        disk.store_blob(key, tampered)  # the disk checksum stays valid
+    memo.clear()  # drop the in-memory tier so the disk copies are probed
+
+    warm = _run(config, trace, app, policy, memo)
+    assert entry_for(warm) == cold, "fallback replay diverged from cold"
+    assert memo.resumed_runs == 0
+    assert memo.corrupt == len(keys)
+    quarantined = (tmp_path / "memo" / "quarantine").glob("*.json")
+    assert sorted(p.stem for p in quarantined) == keys
+
+
 def test_blob_write_errors_degrade_to_memory_tier(config, tmp_path):
     """OSError mid-write in the blob tier never kills a simulation.
 
@@ -177,24 +220,3 @@ def test_trace_prefix_chain_is_cached_and_positional(config):
     assert len(set(chain)) == len(chain)
     # Per-phase digests are cached too.
     assert phase_digest(trace.phases[0]) == trace.phases[0]._memo_digest
-
-
-def test_lane_fork_accounting(config):
-    """Policy variants share the cohort lane until their decisions split."""
-    app = "c2d"
-    trace = get_workload(app, config, seed=0)
-    memo = PhaseMemo()
-    for policy in ("oasis", "on_touch", "grit"):
-        _run(config, trace, app, policy, memo)
-    report = memo.lanes.report()
-    assert report["cohorts"] == 1
-    assert report["runs"] == 3
-    # Two non-reference policies diverged from the oasis reference lane.
-    assert report["prefix_forks"] == 2
-    (cohort,) = report["by_cohort"].values()
-    assert cohort["reference"] == "oasis"
-    for label, run in cohort["runs"].items():
-        assert run["phases"] == len(trace.phases)
-        if label != "oasis":
-            assert run["forked"]
-            assert run["shared_prefix"] < len(trace.phases)
